@@ -296,20 +296,25 @@ _register(Family("lst2", (), lambda t: _leaves(t) - 1, _lst2_c, _lst2_d,
 _register(Family("ndpf", (), len, _ndpf_c, _ndpf_d, _is_ndpf))
 
 
+@lru_cache(maxsize=None)
 def reversed_family(name):
     """The mechanically swapped pair: compose'(x, y) = compose(y, x)."""
     base = get_family(name)
-    swapped = Family(name + "_rev", base.unit, base.size,
-                     lambda s, t: base.compose(t, s),
-                     lambda z: base.decompose(z)[::-1], base.member)
-    return swapped
+    return Family(name + "_rev", base.unit, base.size,
+                  lambda s, t: base.compose(t, s),
+                  lambda z: base.decompose(z)[::-1], base.member)
 
 
 def get_family(name):
+    """The family `name`, or the reversal of a registered one for "<name>_rev".
+
+    Reversed families are resolved on demand and never join FAMILIES, so a
+    lookup cannot change what the suites iterate over.
+    """
     if name in FAMILIES:
         return FAMILIES[name]
     if name.endswith("_rev") and name[:-4] in FAMILIES:
-        return _register(reversed_family(name[:-4]))
+        return reversed_family(name[:-4])
     raise ValueError(f"unknown family {name!r}")
 
 
@@ -397,9 +402,7 @@ def named_bijection(name, x):
 
 def phi_arms(t):
     """Independent description of phi: blocks are the right arms' label sets."""
-    arms = []
-    tr._collect_arms(t, 1, arms)
-    return canonical(tuple(a) for a in arms)
+    return canonical(tuple(a) for a in tr.right_arms(t))
 
 
 def mirror_tree(t):

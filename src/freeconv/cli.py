@@ -15,12 +15,11 @@ from .catalan import NAMED_BIJECTIONS, catalan_iso, family_elements, get_family
 from .freeprob import (CumulantSpec, MomentSpec, cumulants_from_moments,
                        moments_from_cumulants, product_cumulants,
                        product_cumulants_oracle)
-from .multiseries import TruncSeries
+from .multiseries import TruncSeries, first_difference
 from .partitions import (is_noncrossing, is_partition, kreweras,
                          partition_from_json, partition_to_ascii,
                          partition_to_json)
-from .transforms import (_first_difference, boxconv, s_prime, s_transform,
-                         u_transform)
+from .transforms import boxconv, s_prime, s_transform, u_transform
 from .trees import rmap, tree_from_text, tree_to_text
 from .verify import run_suite
 
@@ -179,7 +178,7 @@ def _cmd_product(args):
         _emit(kab.to_json())
         return 0
     oracle = product_cumulants_oracle(ka, kb, args.order)
-    diff = _first_difference(kab.series, oracle.series)
+    diff = first_difference(kab.series, oracle.series)
     payload = {"product": kab.to_json(),
                "check": {"statement": "boxed convolution == tree-sum oracle",
                          "status": "pass" if diff is None else "fail"}}

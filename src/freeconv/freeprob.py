@@ -12,25 +12,27 @@ them.
 """
 
 import random
-import time
 from itertools import product as _cartesian
 
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
-from .multiseries import (MultiMap, TruncSeries, alt_tree_eval, comp_inverse,
-                          compose_at, is_gi, mul_at, random_multimap,
+from .multiseries import (MultiMap, TruncSeries, alt_tree_eval,
+                          alt_tree_evaluator, comp_inverse, compose_at,
+                          first_difference, is_gi, mul_at, random_multimap,
                           random_series, tree_eval)
-from .transforms import (_first_difference, _transpose_map, boxconv, s_prime,
-                         s_transform, strip_identity, u_transform)
+from .transforms import (boxconv, s_prime, s_transform, strip_identity,
+                         u_transform)
 from .trees import (BE, BO, LEAF, NONE, SINGLE, classify, comb_decompose,
                     enumerate_trees, parity_trees, pi_set, right_comb, size,
                     splits, substitute, wedge, yb_set)
+from .verify import Report
 
 
 class CumulantSpec:
-    """A random variable, recorded as its cumulant series.
+    """A random variable, recorded as its cumulant or its moment series.
 
-    ``series[n]`` sends (x1, ..., xn) to the cumulant of the word
-    x1 a x2 a ... xn a.  The series must have the left-module shape
+    As cumulants, ``series[n]`` sends (x1, ..., xn) to the cumulant of the
+    word x1 a x2 a ... xn a; as moments (the name MomentSpec), to
+    E(x1 a x2 a ... xn a).  Either series must have the left-module shape
     x1 * (rest) with an invertible first coefficient; the latter is the
     standing invertibility assumption behind the S-transform.
     """
@@ -39,8 +41,8 @@ class CumulantSpec:
 
     def __init__(self, series):
         if not is_gi(series):
-            raise ValueError("cumulant series must have the shape I.g "
-                             "with g(1) invertible")
+            raise ValueError("cumulant and moment series must have the shape "
+                             "I.g with g(1) invertible")
         self.series = series
 
     @property
@@ -65,41 +67,8 @@ class CumulantSpec:
         return cls(TruncSeries.from_json(obj))
 
 
-class MomentSpec:
-    """Moment series of a variable: ``series[n]`` is E(x1 a x2 a ... xn a).
-
-    Same shape constraints as CumulantSpec (the expectation is a left
-    module map, and E(a) must be invertible).
-    """
-
-    __slots__ = ("series",)
-
-    def __init__(self, series):
-        if not is_gi(series):
-            raise ValueError("moment series must have the shape I.g "
-                             "with g(1) invertible")
-        self.series = series
-
-    @property
-    def d(self):
-        return self.series.d
-
-    @property
-    def N(self):
-        return self.series.N
-
-    def __eq__(self, other):
-        return isinstance(other, MomentSpec) and self.series == other.series
-
-    def __repr__(self):
-        return "MomentSpec(d=%d, N=%d)" % (self.d, self.N)
-
-    def to_json(self):
-        return self.series.to_json()
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(TruncSeries.from_json(obj))
+# One class serves both: cumulant and moment series have the same shape.
+MomentSpec = CumulantSpec
 
 
 def moments_from_cumulants(k):
@@ -108,7 +77,7 @@ def moments_from_cumulants(k):
     d, N = ser.d, ser.N
     dd = d * d
     basis = [AlgebraElement.basis(d, i) for i in range(dd)]
-    memo = {}
+    evaluate = alt_tree_evaluator(ser, ser)
     maps = [MultiMap.zero(d, 0)]
     for n in range(1, N + 1):
         forest = enumerate_trees(n)
@@ -117,7 +86,7 @@ def moments_from_cumulants(k):
             args = tuple(basis[i] for i in key)
             total = AlgebraElement.zero(d)
             for t in forest:
-                total = total + alt_tree_eval(ser, ser, t, args, memo)
+                total = total + evaluate(t, args)
             tensor[key] = total
         maps.append(MultiMap(d, n, tensor))
     return MomentSpec(TruncSeries(d, N, maps))
@@ -141,13 +110,13 @@ def cumulants_from_moments(m):
         partial = TruncSeries(d, n - 1, kmaps)
         comb_n = right_comb(n)
         others = [t for t in enumerate_trees(n) if t != comb_n]
-        memo = {}
+        evaluate = alt_tree_evaluator(partial, partial)
         tensor = {}
         for key in _cartesian(range(dd), repeat=n):
             args = tuple(basis[i] for i in key)
             val = ser[n](*args)
             for t in others:
-                val = val - alt_tree_eval(partial, partial, t, args, memo)
+                val = val - evaluate(t, args)
             tensor[key] = val
         kmaps = kmaps + [MultiMap(d, n, tensor)]
     return CumulantSpec(TruncSeries(d, N, kmaps))
@@ -162,7 +131,6 @@ def speicher_relation_check(k, m):
     """
     if (k.d, k.N) != (m.d, m.N):
         raise ValueError("cumulant and moment series must share (d, N)")
-    started = time.time()
     K = strip_identity(k.series)
     M = strip_identity(m.series)
     d, order = K.d, K.N
@@ -170,22 +138,15 @@ def speicher_relation_check(k, m):
     one = TruncSeries.constant(AlgebraElement.unit(d), order)
     imi = mul_at(mul_at(ident, M, order), ident, order)
     core = compose_at(K, ident + imi, order)
-    checks = []
+    report = Report("moment-cumulant", seed=None, order=order, dim=d)
     for cid, statement, lhs in (
             ("fixed-point-right", "M == (K o (I + I.M.I)) * (1 + I.M)",
              mul_at(core, one + mul_at(ident, M, order), order)),
             ("fixed-point-left", "M == (1 + M.I) * (K o (I + I.M.I))",
              mul_at(one + mul_at(M, ident, order), core, order))):
-        checks.append({"id": cid, "statement": statement,
-                       "params": {"order": order},
-                       "status": "pass" if lhs == M else "fail",
-                       **({} if lhs == M
-                          else {"witness": _first_difference(lhs, M)})})
-    return {"suite": "moment-cumulant", "checks": checks,
-            "seed": None, "order": order, "dim": d,
-            "status": ("pass" if all(c["status"] == "pass" for c in checks)
-                       else "fail"),
-            "elapsed": round(time.time() - started, 3)}
+        diff = first_difference(lhs, M)
+        report.record(cid, statement, diff is None, diff, {"order": order})
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +354,8 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
     same shape as the transforms suite.
     """
     rng = random.Random(seed)
-    started = time.time()
-    results = {}
-
-    def record(cid, statement, ok, witness=None, params=None):
-        slot = results.setdefault(cid, {"id": cid, "statement": statement,
-                                        "status": "pass", "params": params or {}})
-        if not ok and slot["status"] == "pass":
-            slot["status"] = "fail"
-            slot["witness"] = witness
+    report = Report("freeprob", seed=seed, order=N, dim=d, trials=trials)
+    record = report.record
 
     ident = TruncSeries.identity(d, N)
 
@@ -426,7 +380,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
         box = boxconv("box", ka.series, kb.series)
         record("product-cumulants",
                "oracle cumulants of ab == box(ka, kb)",
-               kab.series == box, _first_difference(kab.series, box), params)
+               kab.series == box, first_difference(kab.series, box), params)
 
         s_ab = s_transform(kab.series)
         s_a, s_b = s_transform(ka.series), s_transform(kb.series)
@@ -435,41 +389,41 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
         record("s-of-product",
                "S(ab) == S(b) * (S(a) o U(b)), via oracle and via box",
                s_ab == rhs and s_transform(box) == rhs,
-               _first_difference(s_ab, rhs), params)
+               first_difference(s_ab, rhs), params)
 
         sp_a, sp_b = s_prime(ka.series), s_prime(kb.series)
         rhs = compose_at(mul_at(sp_b, s_a, N - 1), u_b, N - 1)
         record("s-of-product-primed",
                "S(ab) == (S'(b) * S(a)) o U(b)",
-               s_ab == rhs, _first_difference(s_ab, rhs), params)
+               s_ab == rhs, first_difference(s_ab, rhs), params)
 
         rhs = compose_at(mul_at(strip_identity(ma.series), ident, N),
                          comp_inverse(ma.series), N)
         record("u-from-moments",
                "U(a) == (M.I) o (I.M)^{o-1}",
-               u_a == rhs, _first_difference(u_a, rhs), params)
+               u_a == rhs, first_difference(u_a, rhs), params)
 
         u_ab = u_transform(kab.series)
         rhs = compose_at(u_a, u_b, N)
         record("u-of-product", "U(ab) == U(a) o U(b)",
-               u_ab == rhs, _first_difference(u_ab, rhs), params)
+               u_ab == rhs, first_difference(u_ab, rhs), params)
 
         sp_ab = s_prime(kab.series)
         ua_inv = comp_inverse(u_a)
         rhs = mul_at(compose_at(sp_b, ua_inv, N - 1), sp_a, N - 1)
         record("sprime-of-product",
                "S'(ab) == (S'(b) o U(a)^{o-1}) * S'(a)",
-               sp_ab == rhs, _first_difference(sp_ab, rhs), params)
+               sp_ab == rhs, first_difference(sp_ab, rhs), params)
         rhs = compose_at(mul_at(sp_b, s_a, N - 1), ua_inv, N - 1)
         record("sprime-of-product-joint",
                "S'(ab) == (S'(b) * S(a)) o U(a)^{o-1}",
-               sp_ab == rhs, _first_difference(sp_ab, rhs), params)
+               sp_ab == rhs, first_difference(sp_ab, rhs), params)
 
         if d == 1:
             rhs = mul_at(s_b, s_a, N - 1)
             record("s-of-product-scalar",
                    "S(ab) == S(b) * S(a) when d == 1",
-                   s_ab == rhs, _first_difference(s_ab, rhs), params)
+                   s_ab == rhs, first_difference(s_ab, rhs), params)
 
     # a constant cumulant series multiplies S-transforms without composing
     c = random_invertible_from(rng, 2, d)
@@ -482,13 +436,13 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
     oracle_c = product_cumulants_oracle(ka_c, kb_r).series
     record("product-cumulants-constant-factor",
            "oracle cumulants of ab == box(ka, kb) for constant ka",
-           oracle_c == box_c, _first_difference(oracle_c, box_c),
+           oracle_c == box_c, first_difference(oracle_c, box_c),
            {"constant": True})
     rhs = mul_at(s_transform(kb_r.series), s_transform(ka_c.series), N - 1)
     s_box_c = s_transform(box_c)
     record("s-of-product-constant-factor",
            "S(ab) == S(b) * S(a) when the cumulant series of a is constant",
-           s_box_c == rhs, _first_difference(s_box_c, rhs), {"constant": True})
+           s_box_c == rhs, first_difference(s_box_c, rhs), {"constant": True})
 
     # fresh pair for the structural checks
     ka = CumulantSpec(random_series(rng, d, N, "gi", bound=2))
@@ -630,7 +584,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
     if d >= 2:
         # the factorization leans on the absorbing shape: with a transpose
         # in degree one it already fails on the 4-vertex left comb
-        tr = TruncSeries(d, 4, [MultiMap.zero(d, 0), _transpose_map(d)]
+        tr = TruncSeries(d, 4, [MultiMap.zero(d, 0), MultiMap.transpose(d)]
                          + [MultiMap.zero(d, n) for n in range(2, 5)])
         rho = wedge(SINGLE, LEAF)
         sigma = wedge(SINGLE, LEAF)
@@ -650,13 +604,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
                "the absorbing shape",
                found, None, {"degree_one": "transpose"})
 
-    checks = list(results.values())
-    return {"suite": "freeprob",
-            "checks": checks,
-            "seed": seed, "order": N, "dim": d, "trials": trials,
-            "status": "pass" if all(c["status"] == "pass" for c in checks)
-            else "fail",
-            "elapsed": round(time.time() - started, 3)}
+    return report.finish()
 
 
 def _substitution_check(rng, d, budget=6):
@@ -726,7 +674,7 @@ def sab_search(N=4, d=2, trials=50, seed=0):
     any hit that fits neither reason.  Nothing is asserted either way.
     """
     rng = random.Random(seed)
-    started = time.time()
+    report = Report("sab-search", seed=seed, order=N, dim=d, trials=trials)
     hits = []
     commuting = 0
     for trial in range(trials):
@@ -749,16 +697,13 @@ def sab_search(N=4, d=2, trials=50, seed=0):
                          "moment_commutes": commutes})
     note = ("no unexplained coincidences found"
             if not hits else "unexplained coincidences found")
-    return {"suite": "sab-search",
-            "checks": [{"id": "sab-coincidence-scan",
-                        "statement": "scan for S(ab) == S(b) * S(a) with "
-                                     "neither a constant first factor nor a "
-                                     "commuting second moment series",
-                        "params": {"trials": trials,
-                                   "explained_hits": commuting,
-                                   "note": note},
-                        "status": "pass",
-                        **({"witness": hits} if hits else {})}],
-            "seed": seed, "order": N, "dim": d, "trials": trials,
-            "status": "pass",
-            "elapsed": round(time.time() - started, 3)}
+    # a scan asserts nothing: the check passes, and carries any hits
+    check = report.record("sab-coincidence-scan",
+                          "scan for S(ab) == S(b) * S(a) with neither a "
+                          "constant first factor nor a commuting second "
+                          "moment series", True, None,
+                          {"trials": trials, "explained_hits": commuting,
+                           "note": note})
+    if hits:
+        check["witness"] = hits
+    return report.finish()

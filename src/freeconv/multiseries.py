@@ -61,6 +61,12 @@ class MultiMap:
         return cls(d, 1, {(i,): AlgebraElement.basis(d, i) for i in range(d * d)})
 
     @classmethod
+    def transpose(cls, d):
+        """The degree-1 map x -> x^T."""
+        return cls(d, 1, {(p * d + q,): AlgebraElement.basis(d, q * d + p)
+                          for p in range(d) for q in range(d)})
+
+    @classmethod
     def from_function(cls, d, n, fn):
         """Tabulate fn on all basis tuples."""
         tensor = {}
@@ -129,26 +135,21 @@ class MultiMap:
 
     def unit_in_first_slot(self):
         """The degree-(n-1) map (x_2..x_n) -> f(1, x_2..x_n)."""
-        if self.n == 0:
-            raise ValueError("degree-0 map has no slot")
-        d = self.d
-        tensor = {}
-        for key, val in self.tensor.items():
-            p, q = divmod(key[0], d)
-            if p == q:
-                rest = key[1:]
-                tensor[rest] = tensor[rest] + val if rest in tensor else val
-        return MultiMap(d, self.n - 1, tensor)
+        return self._unit_in_slot(0)
 
     def unit_in_last_slot(self):
+        """The degree-(n-1) map (x_1..x_{n-1}) -> f(x_1..x_{n-1}, 1)."""
+        return self._unit_in_slot(self.n - 1)
+
+    def _unit_in_slot(self, j):
         if self.n == 0:
             raise ValueError("degree-0 map has no slot")
         d = self.d
         tensor = {}
         for key, val in self.tensor.items():
-            p, q = divmod(key[-1], d)
+            p, q = divmod(key[j], d)
             if p == q:
-                rest = key[:-1]
+                rest = key[:j] + key[j + 1:]
                 tensor[rest] = tensor[rest] + val if rest in tensor else val
         return MultiMap(d, self.n - 1, tensor)
 
@@ -260,6 +261,23 @@ class TruncSeries:
         return cls(d, N, maps)
 
 
+def first_difference(a, b):
+    """The first entry where two series differ, as a JSON-ready witness, or None."""
+    for n in range(min(a.N, b.N) + 1):
+        if a[n] != b[n]:
+            keys = sorted(set(a[n].tensor) | set(b[n].tensor))
+            for key in keys:
+                va = a[n].tensor.get(key, AlgebraElement.zero(a.d))
+                vb = b[n].tensor.get(key, AlgebraElement.zero(b.d))
+                if va != vb:
+                    return {"degree": n, "entry": list(key),
+                            "lhs": va.to_json(), "rhs": vb.to_json()}
+    if a.N != b.N:
+        return {"degree": min(a.N, b.N) + 1, "entry": None,
+                "lhs": f"order {a.N}", "rhs": f"order {b.N}"}
+    return None
+
+
 # -- membership predicates -------------------------------------------------------
 
 def is_ginv(f):
@@ -306,6 +324,20 @@ def is_gi(f):
 
 # -- product and composition ------------------------------------------------------
 
+def tensor_product_sum(pairs):
+    """Sum of a (x) b over pairs of maps, (a (x) b)(x, y) = a(x) b(y), as a tensor."""
+    tensor = {}
+    for a, b in pairs:
+        if not b.tensor:
+            continue
+        for ka, va in a.tensor.items():
+            for kb, vb in b.tensor.items():
+                key = ka + kb
+                val = va * vb
+                tensor[key] = tensor[key] + val if key in tensor else val
+    return tensor
+
+
 def mul_at(f, g, order):
     """(f.g) to the given order: (f.g)_n = sum_k f_k(x_1..x_k) g_{n-k}(rest).
 
@@ -321,21 +353,10 @@ def mul_at(f, g, order):
        order > g.N + (lf if lf is not None else order):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
-    d = f.d
-    out = []
-    for n in range(order + 1):
-        tensor = {}
-        for k in range(max(0, n - g.N), min(n, f.N) + 1):
-            fk, gk = f[k], g[n - k]
-            if fk.is_zero() or gk.is_zero():
-                continue
-            for kf, vf in fk.tensor.items():
-                for kg, vg in gk.tensor.items():
-                    key = kf + kg
-                    val = vf * vg
-                    tensor[key] = tensor[key] + val if key in tensor else val
-        out.append(MultiMap(d, n, tensor))
-    return TruncSeries(d, order, out)
+    out = [MultiMap(f.d, n, tensor_product_sum(
+        (f[k], g[n - k]) for k in range(max(0, n - g.N), min(n, f.N) + 1)))
+        for n in range(order + 1)]
+    return TruncSeries(f.d, order, out)
 
 
 def _compositions(n, parts):
@@ -408,9 +429,36 @@ def _merge_contrib(acc, contrib, dd):
                     cur[t] += Fraction(vec[t], den)
 
 
-def _acc_to_tensor(acc, d):
-    return {key: AlgebraElement.from_coords(d, tuple(vec))
-            for key, vec in acc.items()}
+def _composition_terms(f, g_maps, k_min):
+    """degree(n): the tensor of sum f_k(g_{m_1}, ..., g_{m_k}) over k >= k_min
+    and m_1 + ... + m_k = n, skipping zero or missing g_m.
+
+    `g_maps` may grow between calls; the integer tables of f and g are built
+    once and kept for later degrees.
+    """
+    d = f.d
+    dd = d * d
+    f_tabs, g_tabs = {}, {}
+
+    def degree(n):
+        acc = {}
+        for k in range(k_min, min(n, f.N) + 1):
+            if f[k].is_zero():
+                continue
+            if k not in f_tabs:
+                f_tabs[k] = _int_table(f[k])
+            fk_table, fk_den = f_tabs[k]
+            for comp in _compositions(n, k):
+                if any(m >= len(g_maps) or g_maps[m].is_zero() for m in comp):
+                    continue
+                for m in comp:
+                    if m not in g_tabs:
+                        g_tabs[m] = _int_table(g_maps[m])
+                _merge_contrib(acc, _contract(fk_table, fk_den,
+                                              [g_tabs[m] for m in comp], dd), dd)
+        return {key: AlgebraElement.from_coords(d, tuple(vec))
+                for key, vec in acc.items()}
+    return degree
 
 
 def compose_at(f, g, order):
@@ -435,27 +483,8 @@ def compose_at(f, g, order):
        (pos_lead is not None and order - (pos_lead - 1) * lg > g.N):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
-    dd = d * d
-    f_tabs = {}
-    g_tabs = {}
-    out = [f[0]]
-    for n in range(1, order + 1):
-        acc = {}
-        for k in range(1, min(n, f.N) + 1):
-            if f[k].is_zero():
-                continue
-            if k not in f_tabs:
-                f_tabs[k] = _int_table(f[k])
-            for comp in _compositions(n, k):
-                if any(m > g.N or g[m].is_zero() for m in comp):
-                    continue
-                for m in comp:
-                    if m not in g_tabs:
-                        g_tabs[m] = _int_table(g[m])
-                contrib = _contract(f_tabs[k][0], f_tabs[k][1],
-                                    [g_tabs[m] for m in comp], dd)
-                _merge_contrib(acc, contrib, dd)
-        out.append(MultiMap(d, n, _acc_to_tensor(acc, d)))
+    degree = _composition_terms(f, g.maps, 1)
+    out = [f[0]] + [MultiMap(d, n, degree(n)) for n in range(1, order + 1)]
     return TruncSeries(d, order, out)
 
 
@@ -479,16 +508,7 @@ def mult_inverse(f):
     c0 = mat_inverse(f[0].tensor[()])
     inv = [MultiMap.constant(c0)]
     for n in range(1, N + 1):
-        tensor = {}
-        for k in range(1, min(n, N) + 1):
-            fk = f[k]
-            if fk.is_zero():
-                continue
-            for kf, vf in fk.tensor.items():
-                for kg, vg in inv[n - k].tensor.items():
-                    key = kf + kg
-                    val = vf * vg
-                    tensor[key] = tensor[key] + val if key in tensor else val
+        tensor = tensor_product_sum((f[k], inv[n - k]) for k in range(1, n + 1))
         inv.append(MultiMap(d, n, {k: (c0 * v).scale(-1) for k, v in tensor.items()}))
     return TruncSeries(d, N, inv)
 
@@ -503,24 +523,10 @@ def comp_inverse(f):
     basis = [AlgebraElement.basis(d, i) for i in range(dd)]
     g = [MultiMap.zero(d, 0),
          MultiMap(d, 1, {(i,): l_inv(basis[i]) for i in range(dd)})]
-    f_tabs = {}
+    degree = _composition_terms(f, g, 2)
     for n in range(2, N + 1):
-        g_tabs = [_int_table(m) for m in g]
-        acc = {}
-        for k in range(2, n + 1):
-            if f[k].is_zero():
-                continue
-            if k not in f_tabs:
-                f_tabs[k] = _int_table(f[k])
-            for comp in _compositions(n, k):
-                if any(g[m].is_zero() for m in comp):
-                    continue
-                contrib = _contract(f_tabs[k][0], f_tabs[k][1],
-                                    [g_tabs[m] for m in comp], dd)
-                _merge_contrib(acc, contrib, dd)
-        tensor = {key: l_inv(val).scale(-1)
-                  for key, val in _acc_to_tensor(acc, d).items()}
-        g.append(MultiMap(d, n, tensor))
+        g.append(MultiMap(d, n, {key: l_inv(val).scale(-1)
+                                 for key, val in degree(n).items()}))
     return TruncSeries(d, N, g)
 
 
@@ -533,17 +539,29 @@ def comp_inverse(f):
 # and f_leaf = 1.  The two-series variant alternates which series supplies
 # the spine map at each nesting depth, outermost from g.
 
-def alt_tree_eval(f, g, t, args, memo=None):
-    """(f u g)_t (args); spine maps come from g at the outermost level.
-
-    A dict passed as `memo` is reused across calls, which pays off when the
-    same subtree/argument slices recur (the boxed convolutions do this a lot).
-    """
+def alt_tree_eval(f, g, t, args):
+    """(f u g)_t (args); spine maps come from g at the outermost level."""
     if is_leaf(t):
         raise ValueError("the empty tree does not index a map")
     if len(args) != tree_size(t):
         raise ValueError("argument count must match the vertex count")
-    return _alt_eval(f, g, t, tuple(args), {} if memo is None else memo)
+    return _alt_eval(f, g, t, tuple(args), {})
+
+
+def alt_tree_evaluator(f, g):
+    """A function (t, args) -> (f u g)_t(args) for tree sums.
+
+    Its calls share one memo of subtree values, which pays off when the same
+    subtree/argument slices recur (the boxed convolutions do this a lot).
+    The memo lives and dies with the function, which holds f and g, so its
+    identity-based keys always name the same two series.  Trees and argument
+    tuples are not validated; use alt_tree_eval for single evaluations.
+    """
+    memo = {}
+
+    def evaluate(t, args):
+        return _alt_eval(f, g, t, args, memo)
+    return evaluate
 
 
 def tree_eval(f, t, args):

@@ -11,14 +11,15 @@ series arithmetic cannot slip through.
 """
 
 import random
-import time
 from itertools import product
 
 from .algebra import AlgebraElement, mat_inverse
-from .multiseries import (MultiMap, TruncSeries, alt_tree_eval, comp_inverse,
-                          compose_at, is_gdif, is_gi, is_ginv, mul_at,
-                          mult_inverse, random_series)
+from .multiseries import (MultiMap, TruncSeries, alt_tree_evaluator,
+                          comp_inverse, compose_at, first_difference, is_gdif,
+                          is_gi, is_ginv, mul_at, mult_inverse, random_series,
+                          tensor_product_sum)
 from .trees import enumerate_trees, rmap
+from .verify import Report
 
 BOX_VARIANTS = ("box", "line", "red", "redred")
 
@@ -60,7 +61,8 @@ def boxconv(variant, f, g):
         out = [MultiMap.constant(g[1](one))]
     else:
         out = [g[0]]
-    memo = {}
+    evaluate = (alt_tree_evaluator(g, f) if variant == "red"
+                else alt_tree_evaluator(f, g))
     for n in range(1, order + 1):
         if variant == "box" or variant == "line":
             forest = _doubled_forest(n, planted=False)
@@ -81,10 +83,7 @@ def boxconv(variant, f, g):
                 args = (one,) + tuple(y for x in xs for y in (x, one))
             total = AlgebraElement.zero(d)
             for t in forest:
-                if variant == "red":
-                    total = total + alt_tree_eval(g, f, t, args, memo)
-                else:
-                    total = total + alt_tree_eval(f, g, t, args, memo)
+                total = total + evaluate(t, args)
             tensor[key] = total
         out.append(MultiMap(d, n, tensor))
     return TruncSeries(d, order, out)
@@ -118,36 +117,20 @@ def _s_via_fixed_point(f):
         inner = mul_at(TruncSeries.identity(d, m), part, m)
         comp = compose_at(F, inner, m)
         t0_inv = mat_inverse(comp[0].tensor[()])
-        tensor = {}
-        for k in range(m):
-            sk, ck = smaps[k], comp[m - k]
-            if sk.is_zero() or ck.is_zero():
-                continue
-            for ka, va in sk.tensor.items():
-                for kb, vb in ck.tensor.items():
-                    key = ka + kb
-                    val = va * vb
-                    tensor[key] = tensor[key] + val if key in tensor else val
+        tensor = tensor_product_sum((smaps[k], comp[m - k]) for k in range(m))
         smaps.append(MultiMap(d, m, {k: (v * t0_inv).scale(-1)
                                      for k, v in tensor.items()}))
     return TruncSeries(d, f.N - 1, smaps)
 
 
-def s_transform(f, path="both"):
+def s_transform(f):
     """S with f^{o-1} = I.S; one order shorter than f.
 
-    path 'inverse' reverts f and strips the identity; path 'fixed' runs the
-    degree-by-degree fixed-point recursion; 'both' (default) computes the two
-    and insists they agree.
+    Computed twice, by reverting f and stripping the identity and by the
+    degree-by-degree fixed-point recursion, and the two must agree.
     """
     if not is_gi(f):
         raise ValueError("the S-transform needs a series of the I.F shape")
-    if path == "inverse":
-        return _s_via_inverse(f)
-    if path == "fixed":
-        return _s_via_fixed_point(f)
-    if path != "both":
-        raise ValueError(f"unknown path {path!r}")
     a = _s_via_inverse(f)
     b = _s_via_fixed_point(f)
     if a != b:
@@ -194,27 +177,6 @@ def s_prime(f):
 
 # -- the identity suite ---------------------------------------------------------
 
-def _first_difference(a, b):
-    for n in range(min(a.N, b.N) + 1):
-        if a[n] != b[n]:
-            keys = sorted(set(a[n].tensor) | set(b[n].tensor))
-            for key in keys:
-                va = a[n].tensor.get(key, AlgebraElement.zero(a.d))
-                vb = b[n].tensor.get(key, AlgebraElement.zero(b.d))
-                if va != vb:
-                    return {"degree": n, "entry": list(key),
-                            "lhs": va.to_json(), "rhs": vb.to_json()}
-    if a.N != b.N:
-        return {"degree": min(a.N, b.N) + 1, "entry": None,
-                "lhs": f"order {a.N}", "rhs": f"order {b.N}"}
-    return None
-
-
-def _transpose_map(d):
-    return MultiMap(d, 1, {(p * d + q,): AlgebraElement.basis(d, q * d + p)
-                           for p in range(d) for q in range(d)})
-
-
 def verify_transform_identities(N=4, d=2, trials=20, seed=0):
     """Check every convolution/transform identity on seeded random series.
 
@@ -222,15 +184,8 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
     a pass/fail status, and on failure the first differing tensor entry.
     """
     rng = random.Random(seed)
-    started = time.time()
-    results = {}
-
-    def record(cid, statement, ok, witness=None, params=None):
-        slot = results.setdefault(cid, {"id": cid, "statement": statement,
-                                        "status": "pass", "params": params or {}})
-        if not ok and slot["status"] == "pass":
-            slot["status"] = "fail"
-            slot["witness"] = witness
+    report = Report("transforms", seed=seed, order=N, dim=d, trials=trials)
+    record = report.record
 
     for trial in range(trials):
         params = {"trial": trial}
@@ -246,12 +201,12 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
             red = boxconv("red", a, b)
             rhs = compose_at(b, red, N)
             record(f"box-compose-{tag}", "box(f,g) == compose(g, red(f,g))",
-                   box == rhs, _first_difference(box, rhs), params)
+                   box == rhs, first_difference(box, rhs), params)
             line = boxconv("line", b, a)
             redred = boxconv("redred", a, b)
             rhs = compose_at(a, mul_at(redred, ident, N), N)
             record(f"line-compose-{tag}", "line(g,f) == compose(f, redred(f,g)*I)",
-                   line == rhs, _first_difference(line, rhs), params)
+                   line == rhs, first_difference(line, rhs), params)
 
         box = boxconv("box", f, g)
         red = boxconv("red", f, g)
@@ -260,10 +215,10 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
 
         rhs = mul_at(red, redred, N)
         record("box-mult-split", "box(f,g) == red(f,g) * redred(f,g) on I.Mult",
-               box == rhs, _first_difference(box, rhs), params)
+               box == rhs, first_difference(box, rhs), params)
         rhs = mul_at(redred, red, N)
         record("line-mult-split", "line(g,f) == redred(f,g) * red(f,g) on I.Mult",
-               line_gf == rhs, _first_difference(line_gf, rhs), params)
+               line_gf == rhs, first_difference(line_gf, rhs), params)
 
         record("box-class", "box and red stay in I.Mult; redred invertible; "
                "line compositionally invertible",
@@ -275,16 +230,16 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
         u_f, u_g = u_transform(f), u_transform(g)
         rhs = mul_at(s_g, compose_at(s_f, u_g, N - 1), N - 1)
         record("s-of-box", "S(box(f,g)) == S(g) * (S(f) o U(g))",
-               s_box == rhs, _first_difference(s_box, rhs), params)
+               s_box == rhs, first_difference(s_box, rhs), params)
         u_box = u_transform(box)
         rhs = compose_at(u_f, u_g, N)
         record("u-of-box", "U(box(f,g)) == U(f) o U(g)",
-               u_box == rhs, _first_difference(u_box, rhs), params)
+               u_box == rhs, first_difference(u_box, rhs), params)
 
         if d == 1:
             rhs = mul_at(s_g, s_f, N - 1)
             record("s-of-box-scalar", "S(box(f,g)) == S(g) * S(f) when d == 1",
-                   s_box == rhs, _first_difference(s_box, rhs), params)
+                   s_box == rhs, first_difference(s_box, rhs), params)
 
     if d >= 2:
         # outside I.Mult the product factorization breaks: degree one of
@@ -293,17 +248,12 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
         zero, one_m = MultiMap.zero(d, 0), MultiMap.identity(d)
         pad = [MultiMap.zero(d, n) for n in range(2, N + 1)]
         f_bad = TruncSeries(d, N, [zero, one_m] + pad)
-        g_bad = TruncSeries(d, N, [zero, _transpose_map(d)] + pad)
+        g_bad = TruncSeries(d, N, [zero, MultiMap.transpose(d)] + pad)
         box = boxconv("box", f_bad, g_bad)
         rhs = mul_at(boxconv("red", f_bad, g_bad),
                      boxconv("redred", f_bad, g_bad), N)
         record("mult-split-needs-absorption",
                "box(f,g) != red(f,g) * redred(f,g) for some f,g outside I.Mult",
-               box != rhs, _first_difference(box, rhs), {"g1": "transpose"})
+               box != rhs, first_difference(box, rhs), {"g1": "transpose"})
 
-    checks = list(results.values())
-    return {"suite": "transforms",
-            "checks": checks,
-            "seed": seed, "order": N, "dim": d, "trials": trials,
-            "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
-            "elapsed": round(time.time() - started, 3)}
+    return report.finish()

@@ -10,6 +10,7 @@ Text encoding: ``|`` for the leaf, ``(L,R)`` for a pair, e.g. ``((|,|),|)``.
 """
 
 from functools import lru_cache
+from itertools import product
 
 LEAF = ()
 
@@ -199,9 +200,14 @@ def splits(t):
     A right arm is a maximal chain vertex, right-child, right-right-child, ...
     (its top is the root or some left child).
     """
+    return all(all(v % 2 == arm[0] % 2 for v in arm) for arm in right_arms(t))
+
+
+def right_arms(t):
+    """The label lists of t's right arms, each from the top of its arm down."""
     arms = []
     _collect_arms(t, 1, arms)
-    return all(all(v % 2 == arm[0] % 2 for v in arm) for arm in arms)
+    return arms
 
 
 def _collect_arms(t, offset, arms):
@@ -279,22 +285,13 @@ def pi_set(t):
     options = [pi_set(p) for p in parts]
     out = set()
     for rho in yb_set(k):
-        for choice in _product(options):
+        for choice in product(*options):
             subs = []
             for s in choice:
                 subs.append((s, ()))     # s grafted over the 1-vertex tree
                 subs.append(SINGLE)
             out.add(substitute(rho, subs))
     return frozenset(out)
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 # -- text encoding -----------------------------------------------------------

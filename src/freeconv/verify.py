@@ -1,12 +1,23 @@
-"""Verification suites for the combinatorial layer, plus the suite dispatcher.
+"""The report builder, the structural verification suites, and run_suite().
+
+Every suite report is built by one class, Report.  A suite records its
+checks by id and then calls finish(), which returns::
+
+    {"suite", "checks": [{"id", "statement", "status", "params", "witness"?}],
+     "seed", "order", "dim", "trials", "status", "elapsed"}
+
+A check passes until a record of its id fails; the first failure sets its
+status to "fail" and stores the witness.  The fields between "checks" and
+"status" are the ones the suite passed to Report, so
+freeprob.speicher_relation_check reports "seed", "order" and "dim" only.
+"status" is "fail" when any check failed, and "elapsed" is the only field
+that varies between runs with the same arguments.  sab_search asserts
+nothing: its one check passes and carries any hits as its witness.
 
 The series-level suites live next to the code they exercise
-(transforms.verify_transform_identities, freeprob.verify_freeprob_identities);
-this module adds the two purely structural suites and run_suite(), which the
-command line calls.  Every suite returns the same report shape::
-
-    {"suite", "checks": [{"id", "statement", "status", "params", ...}],
-     "seed", "order", "dim", "trials", "status", "elapsed"}
+(transforms.verify_transform_identities, freeprob.verify_freeprob_identities,
+freeprob.sab_search); this module adds the two purely structural suites and
+run_suite(), which the command line calls.
 """
 
 import random
@@ -27,24 +38,37 @@ def _catalan(n):
     return row[n]
 
 
-def _recorder(results):
-    def record(cid, statement, ok, witness=None, params=None):
-        slot = results.setdefault(cid, {"id": cid, "statement": statement,
-                                        "status": "pass", "params": params or {}})
-        if not ok and slot["status"] == "pass":
-            slot["status"] = "fail"
-            slot["witness"] = witness
-    return record
+class Report:
+    """Collects the checks of one suite run; the clock starts at creation.
 
+    `fields` are the report's run parameters, kept in the order given.
+    """
 
-def _finish(suite, results, started, seed, order, dim, trials):
-    checks = list(results.values())
-    return {"suite": suite,
-            "checks": checks,
-            "seed": seed, "order": order, "dim": dim, "trials": trials,
-            "status": "pass" if all(c["status"] == "pass" for c in checks)
-            else "fail",
-            "elapsed": round(time.time() - started, 3)}
+    def __init__(self, suite, **fields):
+        self.suite = suite
+        self.fields = fields
+        self.checks = {}
+        self.started = time.time()
+
+    def record(self, cid, statement, ok, witness=None, params=None):
+        """Record one outcome of check `cid`; returns the check's dict.
+
+        The first record of an id fixes its statement and params.
+        """
+        check = self.checks.setdefault(cid, {"id": cid, "statement": statement,
+                                             "status": "pass",
+                                             "params": params or {}})
+        if not ok and check["status"] == "pass":
+            check["status"] = "fail"
+            check["witness"] = witness
+        return check
+
+    def finish(self):
+        checks = list(self.checks.values())
+        return {"suite": self.suite, "checks": checks, **self.fields,
+                "status": "pass" if all(c["status"] == "pass" for c in checks)
+                else "fail",
+                "elapsed": round(time.time() - self.started, 3)}
 
 
 def verify_bijection_identities(n_max=6, seed=0):
@@ -53,9 +77,9 @@ def verify_bijection_identities(n_max=6, seed=0):
     Everything here is deterministic; the seed is only echoed into the
     report so all suites share one shape.
     """
-    started = time.time()
-    results = {}
-    record = _recorder(results)
+    report = Report("bijections", seed=seed, order=n_max, dim=None,
+                    trials=None)
+    record = report.record
 
     for fam in sorted(FAMILIES):
         f = get_family(fam)
@@ -131,10 +155,10 @@ def verify_bijection_identities(n_max=6, seed=0):
     for diagram_id in (1, 2, 3):
         ok, witness, statement = True, None, ""
         for n in range(n_max + 1):
-            report = verify_diagram(diagram_id, n)
-            statement = report["statement"]
-            if report["status"] != "pass":
-                ok, witness = False, report["witness"]
+            diagram = verify_diagram(diagram_id, n)
+            statement = diagram["statement"]
+            if diagram["status"] != "pass":
+                ok, witness = False, diagram["witness"]
                 break
         record(f"diagram-{diagram_id}", statement, ok, witness,
                {"n_max": n_max})
@@ -177,7 +201,7 @@ def verify_bijection_identities(n_max=6, seed=0):
            "permutes every level",
            ok, witness, {"n_max": n_max})
 
-    return _finish("bijections", results, started, seed, n_max, None, None)
+    return report.finish()
 
 
 def verify_operad_identities(N=5, d=2, trials=5, seed=0):
@@ -189,9 +213,8 @@ def verify_operad_identities(N=5, d=2, trials=5, seed=0):
     associativity laws with concatenation.
     """
     rng = random.Random(seed)
-    started = time.time()
-    results = {}
-    record = _recorder(results)
+    report = Report("operad", seed=seed, order=N, dim=d, trials=trials)
+    record = report.record
 
     for trial in range(trials):
         params = {"trial": trial}
@@ -229,7 +252,7 @@ def verify_operad_identities(N=5, d=2, trials=5, seed=0):
                word_action(f, u, v) + w == word_action(f, u, v + w),
                {"lengths": [len(u), len(v), len(w)]}, params)
 
-    return _finish("operad", results, started, seed, N, d, trials)
+    return report.finish()
 
 
 def run_suite(name, order=None, dim=None, trials=None, seed=None):
@@ -257,17 +280,11 @@ def run_suite(name, order=None, dim=None, trials=None, seed=None):
         return sab_search(N=order or 4, d=dim or 2,
                           trials=trials or 50, seed=seed)
     if name == "all":
-        started = time.time()
-        checks = []
-        status = "pass"
+        report = Report("all", seed=seed, order=order, dim=dim, trials=trials)
         for sub in ("transforms", "freeprob", "bijections", "operad"):
-            report = run_suite(sub, order, dim, trials, seed)
-            if report["status"] != "pass":
-                status = "fail"
-            for check in report["checks"]:
-                checks.append(dict(check, id=f"{sub}:{check['id']}"))
-        return {"suite": "all", "checks": checks,
-                "seed": seed, "order": order, "dim": dim, "trials": trials,
-                "status": status,
-                "elapsed": round(time.time() - started, 3)}
+            for c in run_suite(sub, order, dim, trials, seed)["checks"]:
+                report.record(f"{sub}:{c['id']}", c["statement"],
+                              c["status"] == "pass", c.get("witness"),
+                              c["params"])
+        return report.finish()
     raise ValueError(f"unknown suite {name!r}")

@@ -7,6 +7,7 @@ from freeconv.catalan import (FAMILIES, NAMED_BIJECTIONS, catalan_compose,
                               get_family, named_bijection, verify_diagram)
 from freeconv.partitions import kreweras
 from freeconv.trees import rmap, tree_from_text
+from freeconv.verify import run_suite
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -51,6 +52,16 @@ def test_reversed_family_swaps_the_pairing():
     a, b = SINGLE, ((SINGLE, ()), ())
     assert rev.compose(a, b) == base.compose(b, a)
     assert rev.decompose(base.compose(b, a)) == (a, b)
+
+
+def test_reversed_family_lookup_leaves_the_registry_alone():
+    families = len(FAMILIES)
+    checks = len(run_suite("bijections", order=3)["checks"])
+    assert checks == 37
+    get_family("y_rev")
+    get_family("ncp3_rev")
+    assert len(FAMILIES) == families
+    assert len(run_suite("bijections", order=3)["checks"]) == checks
 
 
 def test_iso_is_identity_on_the_same_family():

@@ -39,6 +39,11 @@ def test_spec_constructors_enforce_the_shape():
     assert k.d == D and k.N == N
 
 
+def test_moment_and_cumulant_specs_are_one_class():
+    assert MomentSpec is CumulantSpec
+    assert repr(_cumulants(2)) == "CumulantSpec(d=2, N=3)"
+
+
 def test_spec_json_round_trip():
     k = _cumulants(3)
     assert CumulantSpec.from_json(k.to_json()) == k

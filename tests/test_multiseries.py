@@ -6,7 +6,8 @@ import pytest
 
 from freeconv.algebra import AlgebraElement, random_element_from
 from freeconv.multiseries import (MultiMap, TruncSeries, alt_tree_eval,
-                                  apply_to_word, comp_inverse, compose_at,
+                                  alt_tree_evaluator, apply_to_word,
+                                  comp_inverse, compose_at, first_difference,
                                   is_gdif, is_gi, is_ginv, mul_at,
                                   mult_inverse, operad_eval, random_series,
                                   series_compose, series_mul, tree_eval,
@@ -37,6 +38,33 @@ def test_multimap_add_scale_zero():
     assert (m + z) == m
     assert m.scale(0).is_zero()
     assert (m + m) == m.scale(2)
+
+
+def test_unit_slots_evaluate_at_the_unit():
+    m = MultiMap.from_function(D, 3, lambda x, y, z: x * _x(4) * y + z * x)
+    one = AlgebraElement.unit(D)
+    a, b = _x(5), _x(6)
+    assert m.unit_in_first_slot()(a, b) == m(one, a, b)
+    assert m.unit_in_last_slot()(a, b) == m(a, b, one)
+    with pytest.raises(ValueError):
+        MultiMap.zero(D, 0).unit_in_last_slot()
+
+
+def test_transpose_map():
+    a = _x(7)
+    t = MultiMap.transpose(D)
+    assert t(a).rows == tuple(zip(*a.rows))
+    assert t(t(a)) == a
+
+
+def test_first_difference_names_the_first_differing_entry():
+    f, g = _x(8), _x(9)
+    s1 = TruncSeries.constant(f, 2)
+    assert first_difference(s1, s1) is None
+    diff = first_difference(s1, TruncSeries.constant(g, 2))
+    assert diff == {"degree": 0, "entry": [], "lhs": f.to_json(),
+                    "rhs": g.to_json()}
+    assert first_difference(s1, s1.truncate(1))["degree"] == 2
 
 
 def test_constant_map_takes_no_arguments():
@@ -254,3 +282,27 @@ def test_word_action_needs_a_nonempty_right_word():
     f = random_series(random.Random(34), D, N, "gi")
     with pytest.raises(ValueError):
         word_action(f, (_x(35),), ())
+
+
+def test_alt_tree_eval_rejects_a_memo():
+    # a memo shared across calls was keyed on object ids, which a freed
+    # series hands on to a new one
+    f, g = (random_series(random.Random(s), D, N, "gi", bound=2) for s in (0, 1))
+    t, args = right_comb(2), (_x(1), _x(2))
+    with pytest.raises(TypeError):
+        alt_tree_eval(f, g, t, args, memo={})
+    with pytest.raises(TypeError):
+        alt_tree_eval(f, g, t, args, {})
+
+
+def test_tree_sums_of_fresh_series_use_their_own_values():
+    # each short-lived series gets its own evaluator; a memo keyed on object
+    # ids and shared between them would hand a freed series' values on
+    one = AlgebraElement.unit(1)
+    args = (one, one, one)
+    forest = enumerate_trees(3)
+    for seed in range(200):
+        f = random_series(random.Random(seed), 1, 3, "gi", bound=3)
+        evaluate = alt_tree_evaluator(f, f)
+        assert [evaluate(t, args) for t in forest] == \
+            [alt_tree_eval(f, f, t, args) for t in forest]
