@@ -303,21 +303,36 @@ def is_gdif(f):
 
 def is_gi(f):
     """f = I.h with h invertible: every f_n factors through its first argument
-    as f_n(x_1, ..., x_n) = x_1 f_n(1, x_2, ..., x_n), and f_1(1) in B^x."""
+    as f_n(x_1, ..., x_n) = x_1 f_n(1, x_2, ..., x_n), and f_1(1) in B^x.
+
+    Left multiplication by E_pq moves row q to row p and zeroes the others,
+    so the factorization holds exactly when, for each (q, rest), the d
+    entries f_n(E_pq, rest), p = 0..d-1, are all zero or all nonzero, and
+    each is zero outside row p and carries one common row r(q, rest) there.
+    f_1(1) is then the matrix with rows r(q, ()).  One pass over each tensor.
+    """
     if not f[0].is_zero() or f.N < 1:
         return False
     d = f.d
-    try:
-        mat_inverse(f[1].unit_in_first_slot().tensor.get((), AlgebraElement.zero(d)))
-    except NotInvertibleError:
-        return False
     for n in range(1, f.N + 1):
-        stripped = f[n].unit_in_first_slot()
-        for key in product(range(d * d), repeat=n):
-            lhs = f[n].tensor.get(key, AlgebraElement.zero(d))
-            rhs = AlgebraElement.basis(d, key[0]) * stripped(
-                *(AlgebraElement.basis(d, i) for i in key[1:]))
-            if lhs != rhs:
+        common = {}
+        count = {}
+        for key, val in f[n].tensor.items():
+            p, q = divmod(key[0], d)
+            if any(any(row) for i, row in enumerate(val.rows) if i != p):
+                return False
+            group = (q, key[1:])
+            if common.setdefault(group, val.rows[p]) != val.rows[p]:
+                return False
+            count[group] = count.get(group, 0) + 1
+        if any(c != d for c in count.values()):
+            return False
+        if n == 1:
+            if len(common) != d:
+                return False
+            try:
+                mat_inverse(AlgebraElement(d, tuple(common[q, ()] for q in range(d))))
+            except NotInvertibleError:
                 return False
     return True
 
@@ -502,10 +517,11 @@ def series_compose(f, g):
 
 def mult_inverse(f):
     """Inverse for the convolution product; needs f in G^inv."""
-    if not is_ginv(f):
-        raise ValueError("constant term is not invertible")
     d, N = f.d, f.N
-    c0 = mat_inverse(f[0].tensor[()])
+    try:
+        c0 = mat_inverse(f[0].tensor.get((), AlgebraElement.zero(d)))
+    except NotInvertibleError:
+        raise ValueError("constant term is not invertible") from None
     inv = [MultiMap.constant(c0)]
     for n in range(1, N + 1):
         tensor = tensor_product_sum((f[k], inv[n - k]) for k in range(1, n + 1))
@@ -515,11 +531,14 @@ def mult_inverse(f):
 
 def comp_inverse(f):
     """Inverse for composition; needs f in G^dif."""
-    if not is_gdif(f):
+    if not f[0].is_zero() or f.N < 1:
         raise ValueError("series is not compositionally invertible")
     d, N = f.d, f.N
     dd = d * d
-    l_inv = linmap_inverse(f[1].as_linmap())
+    try:
+        l_inv = linmap_inverse(f[1].as_linmap())
+    except NotInvertibleError:
+        raise ValueError("series is not compositionally invertible") from None
     basis = [AlgebraElement.basis(d, i) for i in range(dd)]
     g = [MultiMap.zero(d, 0),
          MultiMap(d, 1, {(i,): l_inv(basis[i]) for i in range(dd)})]

@@ -246,4 +246,4 @@ def test_criterion_10_operad_identities():
     elapsed = time.monotonic() - started
     _conclude(10, "word recursion equals tree evaluation on five random "
               "series (sizes through 5) plus the three mixed associativity "
-              "laws", ok, elapsed)
+              "laws", ok, elapsed, budget=30)

@@ -1,10 +1,13 @@
 """Truncated multilinear function series: product, composition, inverses."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freeconv.algebra import AlgebraElement, random_element_from
+from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
+                              random_element_from)
 from freeconv.multiseries import (MultiMap, TruncSeries, alt_tree_eval,
                                   alt_tree_evaluator, apply_to_word,
                                   comp_inverse, compose_at, first_difference,
@@ -109,6 +112,134 @@ def test_random_series_land_in_their_classes():
     assert f[0].is_zero()
 
 
+def _is_gi_by_definition(f):
+    """G^I straight from the definition: f_0 = 0, f_1(1) invertible, and
+    f_n(x_1, ...) == x_1 f_n(1, ...) at every basis tuple, by matrix products."""
+    if not f[0].is_zero() or f.N < 1:
+        return False
+    d = f.d
+    try:
+        mat_inverse(f[1].unit_in_first_slot().tensor.get((), AlgebraElement.zero(d)))
+    except NotInvertibleError:
+        return False
+    for n in range(1, f.N + 1):
+        stripped = f[n].unit_in_first_slot()
+        for key in product(range(d * d), repeat=n):
+            lhs = f[n].tensor.get(key, AlgebraElement.zero(d))
+            rhs = AlgebraElement.basis(d, key[0]) * stripped(
+                *(AlgebraElement.basis(d, i) for i in key[1:]))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _with_entry(f, n, key, value):
+    """f with the degree-n entry at key set to value (None deletes it)."""
+    tensor = dict(f[n].tensor)
+    if value is None:
+        del tensor[key]
+    else:
+        tensor[key] = value
+    maps = list(f.maps)
+    maps[n] = MultiMap(f.d, n, tensor)
+    return TruncSeries(f.d, f.N, maps)
+
+
+def _perturbed(f, change, rng):
+    """f with one entry of one degree dropped, replaced or added, if it can be."""
+    n = rng.randint(0, f.N)
+    present = sorted(f[n].tensor)
+    if change == "add":
+        absent = [k for k in product(range(f.d * f.d), repeat=n)
+                  if k not in f[n].tensor]
+        if not absent:
+            return f
+        return _with_entry(f, n, rng.choice(absent), random_element_from(rng, 3, f.d))
+    if not present:
+        return f
+    key = rng.choice(present)
+    if change == "drop":
+        return _with_entry(f, n, key, None)
+    return _with_entry(f, n, key, random_element_from(rng, 3, f.d))
+
+
+_GI_SHAPES = [(d, order) for d in (1, 2, 3) for order in range(1, 5)
+              if d < 3 or order <= 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["gi", "ginv", "gdif", "mult"]),
+       shape=st.sampled_from(_GI_SHAPES),
+       seed=st.integers(0, 2 ** 16),
+       change=st.sampled_from([None, "drop", "replace", "add"]))
+def test_is_gi_agrees_with_the_definition(kind, shape, seed, change):
+    d, order = shape
+    rng = random.Random(seed)
+    f = random_series(rng, d, order, kind)
+    if change is not None:
+        f = _perturbed(f, change, rng)
+    assert is_gi(f) == _is_gi_by_definition(f)
+
+
+def _gi_pair():
+    """A d=2 gi series and a (q, rest) group of its degree-2 entries."""
+    f = random_series(random.Random(40), 2, 3, "gi")
+    q, rest = 1, (2,)
+    assert all((p * 2 + q,) + rest in f[2].tensor for p in range(2))
+    return f, q, rest
+
+
+def test_is_gi_rejects_an_entry_outside_row_p():
+    f, q, rest = _gi_pair()
+    key = (0 * 2 + q,) + rest
+    rows = [list(r) for r in f[2].tensor[key].rows]
+    rows[1][0] += 1
+    g = _with_entry(f, 2, key, AlgebraElement.from_rows(rows))
+    assert is_gi(f) and _is_gi_by_definition(f)
+    assert not is_gi(g) and not _is_gi_by_definition(g)
+
+
+def test_is_gi_rejects_rows_that_differ_within_a_group():
+    f, q, rest = _gi_pair()
+    key = (0 * 2 + q,) + rest
+    rows = [list(r) for r in f[2].tensor[key].rows]
+    rows[0][1] += 1
+    g = _with_entry(f, 2, key, AlgebraElement.from_rows(rows))
+    assert g[2].tensor[key].rows[0] != g[2].tensor[(1 * 2 + q,) + rest].rows[1]
+    assert not is_gi(g) and not _is_gi_by_definition(g)
+
+
+def test_is_gi_rejects_a_group_with_one_entry_missing():
+    f, q, rest = _gi_pair()
+    g = _with_entry(f, 2, (1 * 2 + q,) + rest, None)
+    assert not is_gi(g) and not _is_gi_by_definition(g)
+
+
+def test_is_gi_rejects_a_singular_linear_term_of_the_right_shape():
+    rng = random.Random(41)
+    singular = AlgebraElement.from_rows([[1, 2], [2, 4]])
+    h = random_series(rng, 2, 2, "mult")
+    h = TruncSeries(2, 2, [MultiMap.constant(singular)] + list(h.maps[1:]))
+    f = mul_at(TruncSeries.identity(2, 3), h, 3)
+    assert f[1].unit_in_first_slot()() == singular
+    assert not is_gi(f) and not _is_gi_by_definition(f)
+
+
+def test_is_gi_at_order_zero_and_dimension_one():
+    for d in (1, 2):
+        zero = TruncSeries.zero(d, 0)
+        assert not is_gi(zero) and not _is_gi_by_definition(zero)
+    rng = random.Random(42)
+    f = random_series(rng, 1, 4, "gi")
+    assert is_gi(f) and _is_gi_by_definition(f)
+    # at d = 1 every map factors through its first argument; only f_1(1)
+    # can fail
+    m = random_series(rng, 1, 4, "mult")
+    assert is_gi(m) == _is_gi_by_definition(m) == (not m[1].is_zero())
+    flat = _with_entry(m, 1, (0,), None) if m[1].tensor else m
+    assert not is_gi(flat) and not _is_gi_by_definition(flat)
+
+
 def test_classes_are_what_they_say():
     ident = TruncSeries.identity(D, N)
     assert is_gdif(ident) and is_gi(ident) and not is_ginv(ident)
@@ -135,8 +266,20 @@ def test_mult_inverse_is_two_sided():
 
 def test_mult_inverse_needs_invertible_constant():
     f = random_series(random.Random(6), D, N, "mult")  # zero constant term
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="constant term is not invertible"):
         mult_inverse(f)
+
+
+def test_comp_inverse_needs_a_bijective_linear_term():
+    singular = AlgebraElement.from_rows([[1, 2], [2, 4]])
+    f = TruncSeries(D, N, [MultiMap.zero(D, 0),
+                           MultiMap.from_function(D, 1, lambda x: x * singular)]
+                    + [MultiMap.zero(D, n) for n in range(2, N + 1)])
+    assert not is_gdif(f)
+    with pytest.raises(ValueError, match="not compositionally invertible"):
+        comp_inverse(f)
+    with pytest.raises(ValueError, match="not compositionally invertible"):
+        comp_inverse(random_series(random.Random(43), D, N, "ginv"))
 
 
 def test_compose_monoid_laws():
