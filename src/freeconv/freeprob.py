@@ -9,16 +9,22 @@ stand-alone series determines a value for every tree cumulant of a word in
 from first principles and to cross-check the boxed convolution, the
 S/U-transform product formulas, and the tree-combinatorial structure behind
 them.
+
+The conversions and the product oracle are sums over every tree, each tree
+evaluated from its definition, but they run at the tensor level:
+``multiseries.TreeTensors`` builds each subtree's value once as a
+multilinear map in the free arguments under it, rather than once per basis
+tuple.  ``mixed_tree_cumulant`` and ``alt_tree_eval`` remain the
+single-point definitions that the tensors are tested against.
 """
 
 import random
 from itertools import product as _cartesian
 
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
-from .multiseries import (MultiMap, TruncSeries, alt_tree_eval,
-                          alt_tree_evaluator, comp_inverse, compose_at,
-                          first_difference, is_gi, mul_at, random_multimap,
-                          random_series, tree_eval)
+from .multiseries import (MultiMap, TreeTensors, TruncSeries, alt_tree_eval,
+                          comp_inverse, compose_at, first_difference, is_gi,
+                          mul_at, random_multimap, random_series, tree_eval)
 from .transforms import (boxconv, s_prime, s_transform, strip_identity,
                          u_transform)
 from .trees import (BE, BO, LEAF, NONE, SINGLE, classify, comb_decompose,
@@ -72,23 +78,18 @@ MomentSpec = CumulantSpec
 
 
 def moments_from_cumulants(k):
-    """Sum the tree cumulants: m_n = sum over all n-vertex trees of k_t."""
+    """Sum the tree cumulants: m_n = sum over all n-vertex trees of k_t.
+
+    The sum runs over every tree, each evaluated from its definition, at
+    the tensor level: TreeTensors builds each subtree's k_t once as a
+    multilinear map in its arguments, instead of per basis tuple.
+    """
     ser = k.series
     d, N = ser.d, ser.N
-    dd = d * d
-    basis = [AlgebraElement.basis(d, i) for i in range(dd)]
-    evaluate = alt_tree_evaluator(ser, ser)
+    sums = TreeTensors(d, (ser.maps,), (True, True))
     maps = [MultiMap.zero(d, 0)]
-    for n in range(1, N + 1):
-        forest = enumerate_trees(n)
-        tensor = {}
-        for key in _cartesian(range(dd), repeat=n):
-            args = tuple(basis[i] for i in key)
-            total = AlgebraElement.zero(d)
-            for t in forest:
-                total = total + evaluate(t, args)
-            tensor[key] = total
-        maps.append(MultiMap(d, n, tensor))
+    maps += [MultiMap(d, n, sums.tree_sum(enumerate_trees(n)))
+             for n in range(1, N + 1)]
     return MomentSpec(TruncSeries(d, N, maps))
 
 
@@ -97,28 +98,24 @@ def cumulants_from_moments(m):
 
     At degree n the right comb is the only tree whose evaluation touches
     k_n; every other tree combines cumulants of degree < n, so subtracting
-    their sum from m_n isolates k_n.
+    their sum from m_n isolates k_n.  That sum is a tensor-level tree sum
+    (TreeTensors) over the cumulants found so far; its memo of subtrees
+    carries over from degree to degree, since a subtree of size < n reads
+    only cumulants that are already fixed.
     """
     ser = m.series
     d, N = ser.d, ser.N
-    dd = d * d
-    basis = [AlgebraElement.basis(d, i) for i in range(dd)]
     kmaps = [MultiMap.zero(d, 0)]
     if N >= 1:
         kmaps.append(ser[1])
+    sums = TreeTensors(d, (kmaps,), (True, True))
     for n in range(2, N + 1):
-        partial = TruncSeries(d, n - 1, kmaps)
         comb_n = right_comb(n)
-        others = [t for t in enumerate_trees(n) if t != comb_n]
-        evaluate = alt_tree_evaluator(partial, partial)
-        tensor = {}
-        for key in _cartesian(range(dd), repeat=n):
-            args = tuple(basis[i] for i in key)
-            val = ser[n](*args)
-            for t in others:
-                val = val - evaluate(t, args)
-            tensor[key] = val
-        kmaps = kmaps + [MultiMap(d, n, tensor)]
+        others = sums.tree_sum(t for t in enumerate_trees(n) if t != comb_n)
+        tensor = dict(ser[n].tensor)
+        for key, val in others.items():
+            tensor[key] = tensor[key] - val if key in tensor else -val
+        kmaps.append(MultiMap(d, n, tensor))
     return CumulantSpec(TruncSeries(d, N, kmaps))
 
 
@@ -153,16 +150,7 @@ def speicher_relation_check(k, m):
 # mixed tree cumulants of words in two free letters
 
 
-def _spine_positions(t):
-    pos, out = 0, []
-    for s in comb_decompose(t):
-        w = size(s)
-        out.append(pos + w)
-        pos += w + 1
-    return tuple(out)
-
-
-def _mixed(t, letters, ka, kb, memo):
+def _mixed(t, letters, ka, kb):
     """Evaluate one tree cumulant of a word of (coefficient, letter) pairs.
 
     The letters sitting on the outermost spine pick the cumulant that gets
@@ -170,47 +158,30 @@ def _mixed(t, letters, ka, kb, memo):
     inner work happens.  Inner subtrees recurse, their values multiplying
     into the coefficient of the next spine letter.
     """
-    key = (t, letters)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     parts = comb_decompose(t)
     spots = []
     pos = 0
-    spine_letter = None
-    mixed = False
     for s in parts:
         w = size(s)
         spots.append((s, pos, w))
-        name = letters[pos + w][1]
-        if spine_letter is None:
-            spine_letter = name
-        elif name != spine_letter:
-            mixed = True
         pos += w + 1
-    if mixed:
-        out = AlgebraElement.zero(ka.d)
-    else:
-        series = ka if spine_letter == "a" else kb
-        if len(parts) > series.N:
-            raise ValueError("tree needs a degree-%d cumulant but the "
-                             "series stops at %d" % (len(parts), series.N))
-        vals = []
-        for s, start, w in spots:
-            coeff = letters[start + w][0]
-            if w:
-                inner = _mixed(s, letters[start:start + w], ka, kb, memo)
-                if inner.is_zero():
-                    vals = None
-                    break
-                coeff = inner * coeff
-            vals.append(coeff)
-        if vals is None:
-            out = AlgebraElement.zero(ka.d)
-        else:
-            out = series[len(parts)](*vals)
-    memo[key] = out
-    return out
+    spine = {letters[start + w][1] for _, start, w in spots}
+    if len(spine) > 1:
+        return AlgebraElement.zero(ka.d)
+    series = ka if spine == {"a"} else kb
+    if len(parts) > series.N:
+        raise ValueError("tree needs a degree-%d cumulant but the "
+                         "series stops at %d" % (len(parts), series.N))
+    vals = []
+    for s, start, w in spots:
+        coeff = letters[start + w][0]
+        if w:
+            inner = _mixed(s, letters[start:start + w], ka, kb)
+            if inner.is_zero():
+                return AlgebraElement.zero(ka.d)
+            coeff = inner * coeff
+        vals.append(coeff)
+    return series[len(parts)](*vals)
 
 
 def mixed_tree_cumulant(t, letters, ka, kb):
@@ -231,7 +202,7 @@ def mixed_tree_cumulant(t, letters, ka, kb):
             raise ValueError("coefficient dimension mismatch")
     if (ka.d, ka.N) != (kb.d, kb.N):
         raise ValueError("the two cumulant series must share (d, N)")
-    return _mixed(t, letters, ka.series, kb.series, {})
+    return _mixed(t, letters, ka.series, kb.series)
 
 
 def product_moments_oracle(ka, kb, order=None):
@@ -240,8 +211,9 @@ def product_moments_oracle(ka, kb, order=None):
     Each degree sums the mixed tree cumulant over every tree on 2n vertices
     with the alternating word (x1 a, 1 b, x2 a, 1 b, ...).  No structural
     shortcuts: the only pruning is the freeness rule itself (a mixed spine
-    is zero), hoisted out of the coefficient loop where the spine in
-    question is the outermost one.
+    is zero, and no work happens under it).  The sum runs at the tensor
+    level: TreeTensors builds each subtree's mixed cumulant once as a
+    multilinear map in the x's under it, instead of per basis tuple.
     """
     if (ka.d, ka.N) != (kb.d, kb.N):
         raise ValueError("the two cumulant series must share (d, N)")
@@ -249,29 +221,11 @@ def product_moments_oracle(ka, kb, order=None):
     if not 0 <= N <= ka.N:
         raise ValueError("order must lie in 0..%d" % ka.N)
     d = ka.d
-    dd = d * d
-    basis = [AlgebraElement.basis(d, i) for i in range(dd)]
-    one = AlgebraElement.unit(d)
-    memo = {}
+    sums = TreeTensors(d, (ka.series.maps, kb.series.maps), (True, False),
+                       freeness=True)
     maps = [MultiMap.zero(d, 0)]
-    for n in range(1, N + 1):
-        survivors = []
-        for t in enumerate_trees(2 * n):
-            parities = {p % 2 for p in _spine_positions(t)}
-            if len(parities) == 1:
-                survivors.append(t)
-        tensor = {}
-        for key in _cartesian(range(dd), repeat=n):
-            letters = []
-            for i in key:
-                letters.append((basis[i], "a"))
-                letters.append((one, "b"))
-            letters = tuple(letters)
-            total = AlgebraElement.zero(d)
-            for t in survivors:
-                total = total + _mixed(t, letters, ka.series, kb.series, memo)
-            tensor[key] = total
-        maps.append(MultiMap(d, n, tensor))
+    maps += [MultiMap(d, n, sums.tree_sum(enumerate_trees(2 * n)))
+             for n in range(1, N + 1)]
     return MomentSpec(TruncSeries(d, N, maps))
 
 

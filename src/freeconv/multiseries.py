@@ -81,14 +81,13 @@ class MultiMap:
         coords = [a.coords() for a in args]
         acc = None
         for key, val in self.tensor.items():
-            c = 1
-            for j, i in enumerate(key):
-                cj = coords[j][i]
-                if not cj:
-                    c = None
+            # starting from the first coordinate spares an int * Fraction
+            c = coords[0][key[0]] if key else 1
+            for j in range(1, len(key)):
+                if not c:
                     break
-                c = c * cj
-            if c is None:
+                c = c * coords[j][key[j]]
+            if not c:
                 continue
             vc = val.coords()
             if acc is None:
@@ -402,7 +401,7 @@ def _int_table(m):
 def _contract(fk_table, fk_den, parts, dd):
     """One composition term: contract f_k against the k part tables.
 
-    Returns {concatenated output key: (integer vector, denominator)}.
+    Returns ({concatenated output key: integer vector}, denominator).
     """
     state = {((), j): vec for j, vec in fk_table.items()}
     for tbl, _ in parts:
@@ -429,12 +428,13 @@ def _contract(fk_table, fk_den, parts, dd):
         key = ()
         for piece in prefix:
             key += piece
-        out[key] = (vec, den)
-    return out
+        out[key] = vec
+    return out, den
 
 
 def _merge_contrib(acc, contrib, dd):
-    for key, (vec, den) in contrib.items():
+    table, den = contrib
+    for key, vec in table.items():
         cur = acc.get(key)
         if cur is None:
             acc[key] = [Fraction(x, den) for x in vec]
@@ -564,23 +564,7 @@ def alt_tree_eval(f, g, t, args):
         raise ValueError("the empty tree does not index a map")
     if len(args) != tree_size(t):
         raise ValueError("argument count must match the vertex count")
-    return _alt_eval(f, g, t, tuple(args), {})
-
-
-def alt_tree_evaluator(f, g):
-    """A function (t, args) -> (f u g)_t(args) for tree sums.
-
-    Its calls share one memo of subtree values, which pays off when the same
-    subtree/argument slices recur (the boxed convolutions do this a lot).
-    The memo lives and dies with the function, which holds f and g, so its
-    identity-based keys always name the same two series.  Trees and argument
-    tuples are not validated; use alt_tree_eval for single evaluations.
-    """
-    memo = {}
-
-    def evaluate(t, args):
-        return _alt_eval(f, g, t, args, memo)
-    return evaluate
+    return _alt_eval(f, g, t, tuple(args))
 
 
 def tree_eval(f, t, args):
@@ -588,11 +572,7 @@ def tree_eval(f, t, args):
     return alt_tree_eval(f, f, t, args)
 
 
-def _alt_eval(f, g, t, args, memo):
-    key = (id(f), id(g), t, args)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+def _alt_eval(f, g, t, args):
     parts = comb_decompose(t)
     m = len(parts)
     if m > g.N:
@@ -604,12 +584,160 @@ def _alt_eval(f, g, t, args, memo):
         if w == 0:
             values.append(args[pos])
         else:
-            inner = _alt_eval(g, f, s, args[pos:pos + w], memo)
-            values.append(inner * args[pos + w])
+            values.append(_alt_eval(g, f, s, args[pos:pos + w]) * args[pos + w])
         pos += w + 1
-    out = g[m](*values)
-    memo[key] = out
+    return g[m](*values)
+
+
+# -- tree sums as tensors -----------------------------------------------------------
+#
+# Every tree sum in the package (the boxed convolutions, both moment-cumulant
+# conversions, the product oracle) evaluates tree maps at arguments that are
+# free variables x or the unit, chosen by the parity of the position: box
+# reads x,1,x,1,..., line 1,x,1,x,..., the moments x,x,x,....  A subtree's
+# value then depends only on the subtree, the parity at which its argument
+# segment starts and the series supplying its spine, and it is a multilinear
+# map in the x's of that segment.  TreeTensors builds each such map once, as
+# an integer tensor over one denominator, instead of evaluating every tree at
+# every basis key.
+
+
+def _times_units(table, d):
+    """The tensor of (x_1..x_k, x) -> T(x_1..x_k) x, for T given by `table`.
+
+    T(..) E_rs moves column r of T(..) to column s and zeroes the rest.
+    """
+    out = {}
+    for key, vec in table.items():
+        for r in range(d):
+            col = vec[r::d]
+            if not any(col):
+                continue
+            for s in range(d):
+                new = [0] * (d * d)
+                new[s::d] = col
+                out[key + (r * d + s,)] = new
     return out
+
+
+class TreeTensors:
+    """Tree maps at one fixed pattern of x and unit arguments, as tensors.
+
+    `series` holds one or two sequences of maps indexed by degree (the
+    ``maps`` of a TruncSeries, or a list that grows between calls);
+    `x_at[p]` says whether the argument at a position of parity p is a free
+    variable x rather than the unit.  Without `freeness` the spine series
+    alternates with the nesting depth, as in alt_tree_eval.  With it, a
+    spine whose arguments all sit at parity p reads series[p] and a spine
+    that mixes the parities is zero, as in mixed_tree_cumulant.
+
+    A tree's value is its spine map contracted (_contract) against one slot
+    table per spine vertex: the inner subtree's tensor times E_k when the
+    vertex's argument is an x, the inner tensor alone when it is the unit,
+    and e_k or the unit when the subtree is empty.  The slots of inner
+    subtrees are memoised on (subtree, parity of its segment start, series
+    index); the trees handed to tree_sum are not.  The memo belongs to the
+    object, which one call owns.
+    """
+
+    def __init__(self, d, series, x_at, freeness=False):
+        dd = d * d
+        self.d = d
+        self.series = series
+        self.x_at = x_at
+        self.freeness = freeness
+        # a pattern that ignores parity needs no parity in its memo keys
+        self._parity_mask = 1 if freeness or x_at[0] != x_at[1] else 0
+        self._spines = {}
+        self._slots = {}
+        self._x_slot = ({(k,): [int(i == k) for i in range(dd)]
+                         for k in range(dd)}, 1)
+        self._unit_slot = ({(): [int(i % (d + 1) == 0) for i in range(dd)]}, 1)
+
+    def tree_sum(self, forest, role=0):
+        """{key: AlgebraElement}: the sum of the trees' maps at the pattern,
+        outer spines from series[role] unless `freeness` decides.
+
+        Each tree's (integer table, denominator) is merged over one running
+        common denominator, and every entry becomes a Fraction once.
+        """
+        d, dd = self.d, self.d * self.d
+        acc, acc_den = {}, 1
+        for t in forest:
+            table, den = self.value(t, 0, role)
+            if not table:
+                continue
+            common = acc_den * den // gcd(acc_den, den)
+            if common != acc_den:
+                up = common // acc_den
+                for vec in acc.values():
+                    vec[:] = [up * x for x in vec]
+                acc_den = common
+            up = common // den
+            for key, vec in table.items():
+                cur = acc.get(key)
+                if cur is None:
+                    acc[key] = [up * x for x in vec]
+                else:
+                    for i in range(dd):
+                        cur[i] += up * vec[i]
+        return {key: AlgebraElement.from_coords(
+                    d, tuple(Fraction(x, acc_den) for x in vec))
+                for key, vec in acc.items()}
+
+    def value(self, t, parity, role):
+        """(integer table, denominator) of the tree t whose argument segment
+        starts at `parity`, its spine from series[role] unless `freeness`
+        decides; keys run over the x's of the segment."""
+        parts = comb_decompose(t)
+        widths = [tree_size(s) for s in parts]
+        if self.freeness:
+            pos, spine = parity, set()
+            for w in widths:
+                spine.add((pos + w) & 1)
+                pos += w + 1
+            if len(spine) > 1:
+                return {}, 1
+            role, inner = spine.pop(), 0
+        else:
+            inner = (role + 1) % len(self.series)
+        table, den = self._spine(role, len(parts))
+        if not table:
+            return {}, 1
+        slots = []
+        pos = parity
+        for s, w in zip(parts, widths):
+            slot = self._slot(s, w, pos & 1, inner)
+            if not slot[0]:
+                return {}, 1
+            slots.append(slot)
+            pos += w + 1
+        return _contract(table, den, slots, self.d * self.d)
+
+    def _spine(self, role, m):
+        key = (role, m)
+        tab = self._spines.get(key)
+        if tab is None:
+            maps = self.series[role]
+            if m >= len(maps):
+                raise ValueError(f"tree needs a degree-{m} map but the series "
+                                 f"stops at {len(maps) - 1}")
+            tab = self._spines[key] = _int_table(maps[m])
+        return tab
+
+    def _slot(self, s, w, parity, role):
+        """The slot filled by subtree s of width w, segment at `parity`."""
+        x_arg = self.x_at[(parity + w) & 1]
+        if not w:
+            return self._x_slot if x_arg else self._unit_slot
+        key = (s, parity & self._parity_mask, role)
+        slot = self._slots.get(key)
+        if slot is None:
+            table, den = self.value(s, parity, role)
+            if x_arg:
+                table = _times_units(table, self.d)
+            slot = self._slots[key] = (table, den)
+        return slot
 
 
 # -- the same maps through words ---------------------------------------------------

@@ -11,12 +11,11 @@ series arithmetic cannot slip through.
 """
 
 import random
-from itertools import product
 
 from .algebra import AlgebraElement, mat_inverse
-from .multiseries import (MultiMap, TruncSeries, alt_tree_evaluator,
-                          comp_inverse, compose_at, first_difference, is_gdif,
-                          is_gi, is_ginv, mul_at, mult_inverse, random_series,
+from .multiseries import (MultiMap, TreeTensors, TruncSeries, comp_inverse,
+                          compose_at, first_difference, is_gdif, is_gi,
+                          is_ginv, mul_at, mult_inverse, random_series,
                           tensor_product_sum)
 from .trees import enumerate_trees, rmap
 from .verify import Report
@@ -31,6 +30,11 @@ def _doubled_forest(n, planted):
     return [rmap(t) for t in enumerate_trees(n)]
 
 
+# variant: (x at even positions, x at odd positions), series of the outer spine
+_PATTERNS = {"box": ((True, False), 1), "line": ((False, True), 1),
+             "red": ((True, False), 0), "redred": ((False, True), 1)}
+
+
 def boxconv(variant, f, g):
     """One of the four boxed convolutions of f and g.
 
@@ -43,6 +47,11 @@ def boxconv(variant, f, g):
     For 'red' the tree sum at degree n runs over Y_{n-1} and the two series
     swap roles inside the evaluation.  Degree n of 'redred' reads g at degree
     n+1, so its output is truncated one order lower than the inputs.
+
+    Degree n is the sum of (f u g)_t over the forest, every tree evaluated
+    from its definition, but at the tensor level: TreeTensors builds each
+    subtree's value once as a multilinear map in the x's under it, instead
+    of evaluating each tree at each basis tuple.
     """
     if variant not in BOX_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -51,18 +60,15 @@ def boxconv(variant, f, g):
     d, N = f.d, f.N
     if N < 1:
         raise ValueError("convolution needs at least order 1")
-    dd = d * d
-    one = AlgebraElement.unit(d)
-    basis = [AlgebraElement.basis(d, i) for i in range(dd)]
     order = N - 1 if variant == "redred" else N
     if variant == "red":
         out = [MultiMap.zero(d, 0)]
     elif variant == "redred":
-        out = [MultiMap.constant(g[1](one))]
+        out = [MultiMap.constant(g[1](AlgebraElement.unit(d)))]
     else:
         out = [g[0]]
-    evaluate = (alt_tree_evaluator(g, f) if variant == "red"
-                else alt_tree_evaluator(f, g))
+    x_at, outer = _PATTERNS[variant]
+    sums = TreeTensors(d, (f.maps, g.maps), x_at)
     for n in range(1, order + 1):
         if variant == "box" or variant == "line":
             forest = _doubled_forest(n, planted=False)
@@ -70,22 +76,7 @@ def boxconv(variant, f, g):
             forest = _doubled_forest(n - 1, planted=True)
         else:
             forest = _doubled_forest(n, planted=True)
-        tensor = {}
-        for key in product(range(dd), repeat=n):
-            xs = [basis[i] for i in key]
-            if variant == "box":
-                args = tuple(y for x in xs for y in (x, one))
-            elif variant == "line":
-                args = tuple(y for x in xs for y in (one, x))
-            elif variant == "red":
-                args = tuple(y for x in xs for y in (x, one))[:-1]
-            else:
-                args = (one,) + tuple(y for x in xs for y in (x, one))
-            total = AlgebraElement.zero(d)
-            for t in forest:
-                total = total + evaluate(t, args)
-            tensor[key] = total
-        out.append(MultiMap(d, n, tensor))
+        out.append(MultiMap(d, n, sums.tree_sum(forest, role=outer)))
     return TruncSeries(d, order, out)
 
 

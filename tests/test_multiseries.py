@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
                               random_element_from)
-from freeconv.multiseries import (MultiMap, TruncSeries, alt_tree_eval,
-                                  alt_tree_evaluator, apply_to_word,
-                                  comp_inverse, compose_at, first_difference,
-                                  is_gdif, is_gi, is_ginv, mul_at,
-                                  mult_inverse, operad_eval, random_series,
-                                  series_compose, series_mul, tree_eval,
-                                  word_action, word_of_tree)
-from freeconv.trees import enumerate_trees, right_comb
+from freeconv.multiseries import (MultiMap, TreeTensors, TruncSeries,
+                                  alt_tree_eval, apply_to_word, comp_inverse,
+                                  compose_at, first_difference, is_gdif, is_gi,
+                                  is_ginv, mul_at, mult_inverse, operad_eval,
+                                  random_series, series_compose, series_mul,
+                                  tree_eval, word_action, word_of_tree)
+from freeconv.freeprob import CumulantSpec, moments_from_cumulants
+from freeconv.trees import enumerate_trees, right_comb, rmap, size as tree_size
 
 D, N = 2, 3
 LEAF = ()
@@ -428,24 +428,33 @@ def test_word_action_needs_a_nonempty_right_word():
 
 
 def test_alt_tree_eval_rejects_a_memo():
-    # a memo shared across calls was keyed on object ids, which a freed
-    # series hands on to a new one
+    # a memo shared across calls was once keyed on object ids, which a freed
+    # series hands on to a new one; alt_tree_eval takes none, and the tree
+    # sums' memo is keyed on (subtree, parity, series index) alone
     f, g = (random_series(random.Random(s), D, N, "gi", bound=2) for s in (0, 1))
     t, args = right_comb(2), (_x(1), _x(2))
     with pytest.raises(TypeError):
         alt_tree_eval(f, g, t, args, memo={})
     with pytest.raises(TypeError):
         alt_tree_eval(f, g, t, args, {})
+    sums = TreeTensors(D, (f.maps, g.maps), (True, False))
+    sums.tree_sum(rmap(t) for t in enumerate_trees(N))
+    assert sums._slots
+    for s, parity, role in sums._slots:
+        assert s in enumerate_trees(tree_size(s)) and s != ()
+        assert parity in (0, 1) and role in (0, 1)
 
 
 def test_tree_sums_of_fresh_series_use_their_own_values():
-    # each short-lived series gets its own evaluator; a memo keyed on object
-    # ids and shared between them would hand a freed series' values on
+    # each call builds its own tree tensors; a memo keyed on object ids and
+    # shared between calls would hand a freed series' values on
     one = AlgebraElement.unit(1)
-    args = (one, one, one)
-    forest = enumerate_trees(3)
     for seed in range(200):
         f = random_series(random.Random(seed), 1, 3, "gi", bound=3)
-        evaluate = alt_tree_evaluator(f, f)
-        assert [evaluate(t, args) for t in forest] == \
-            [alt_tree_eval(f, f, t, args) for t in forest]
+        moments = moments_from_cumulants(CumulantSpec(f)).series
+        for n in range(1, 4):
+            args = (one,) * n
+            expected = sum((alt_tree_eval(f, f, t, args)
+                            for t in enumerate_trees(n)),
+                           AlgebraElement.zero(1))
+            assert moments[n](*args) == expected
