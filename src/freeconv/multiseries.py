@@ -9,7 +9,11 @@ constant.  The three groups of interest:
 * ``G^I``:   f = I.h with h in G^inv, i.e. f_n(x_1,...,x_n) =
   x_1 f_n(1, x_2,...,x_n) and f_1(1) invertible.
 
-All arithmetic is exact (Fraction entries).  Operations that mix two series
+All arithmetic is exact.  Maps store Fraction entries, but products,
+compositions, both inverses and the tree sums run on one integer kernel:
+each input map becomes an integer table over one common denominator
+(int_table), every sum is merged over one running denominator, and each
+output entry becomes a Fraction once.  Operations that mix two series
 of different truncation orders are rejected at the public level; the
 ``mul_at``/``compose_at`` variants compute a requested output order and raise
 unless the inputs genuinely determine every coefficient up to it, which is
@@ -20,6 +24,7 @@ raises the usable order of the other factor).
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .algebra import (AlgebraElement, LinMap, NotInvertibleError, linmap_inverse,
                       mat_inverse, random_element_from, random_invertible_from)
@@ -73,6 +78,11 @@ class MultiMap:
         for key in product(range(d * d), repeat=n):
             tensor[key] = fn(*(AlgebraElement.basis(d, i) for i in key))
         return cls(d, n, tensor)
+
+    @classmethod
+    def from_int_table(cls, d, n, table, den):
+        """The map whose value at key is table[key] / den (see int_table)."""
+        return cls(d, n, _elements(table, den, d))
 
     def __call__(self, *args):
         """Multilinear evaluation at arbitrary algebra elements."""
@@ -336,20 +346,98 @@ def is_gi(f):
     return True
 
 
-# -- product and composition ------------------------------------------------------
+# -- the integer kernel -------------------------------------------------------------
+#
+# Products, compositions, both inverses and the tree sums run on integer
+# tables: {key: integer coordinate vector} with one common denominator for
+# the whole tensor.  A map is cleared of denominators once per call
+# (int_table), the terms of a sum are merged over one running common
+# denominator (_merge), and each output entry becomes a Fraction once
+# (MultiMap.from_int_table).  A zero coordinate comes back as the int 0, as
+# AlgebraElement products write it.
 
-def tensor_product_sum(pairs):
-    """Sum of a (x) b over pairs of maps, (a (x) b)(x, y) = a(x) b(y), as a tensor."""
-    tensor = {}
-    for a, b in pairs:
-        if not b.tensor:
+def int_table(m):
+    """(key -> integer coordinate vector, least common denominator) for a
+    MultiMap."""
+    den = 1
+    for val in m.tensor.values():
+        for c in val.coords():
+            q = c.denominator
+            if den % q:
+                den = den * q // gcd(den, q)
+    return {key: [c.numerator * (den // c.denominator) for c in val.coords()]
+            for key, val in m.tensor.items()}, den
+
+
+def _elements(table, den, d):
+    """{key: AlgebraElement} of an integer table; zero vectors are dropped."""
+    return {key: AlgebraElement.from_coords(
+                d, tuple(Fraction(x, den) if x else 0 for x in vec))
+            for key, vec in table.items() if any(vec)}
+
+
+def _merge(terms, dd):
+    """The sum of a stream of (integer table, denominator) terms, as one
+    (table, denominator) pair with the least common denominator.
+
+    The accumulator is rescaled only when a term's denominator does not
+    divide the running one.
+    """
+    acc, acc_den = {}, 1
+    for table, den in terms:
+        if not table:
             continue
-        for ka, va in a.tensor.items():
-            for kb, vb in b.tensor.items():
-                key = ka + kb
-                val = va * vb
-                tensor[key] = tensor[key] + val if key in tensor else val
-    return tensor
+        if acc_den % den:
+            common = acc_den * den // gcd(acc_den, den)
+            up = common // acc_den
+            for vec in acc.values():
+                vec[:] = [up * x for x in vec]
+            acc_den = common
+        up = acc_den // den
+        for key, vec in table.items():
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = [up * x for x in vec]
+            elif up == 1:
+                for i in range(dd):
+                    cur[i] += vec[i]
+            else:
+                for i in range(dd):
+                    cur[i] += up * vec[i]
+    if acc_den > 1:
+        g = acc_den
+        for vec in acc.values():
+            g = gcd(g, *vec)
+            if g == 1:
+                break
+        if g > 1:
+            acc_den //= g
+            for vec in acc.values():
+                vec[:] = [x // g for x in vec]
+    return acc, acc_den
+
+
+def _products(a, b, d):
+    """(a (x) b)(x, y) = a(x) b(y) for two integer tables: d x d integer
+    matrix products of the rows of a(x) with the columns of b(y)."""
+    ta, da = a
+    tb, db = b
+    out = {}
+    if not ta or not tb:
+        return out, 1
+    cols = [(kb, [vb[j::d] for j in range(d)]) for kb, vb in tb.items()]
+    for ka, va in ta.items():
+        rows = [va[i * d:(i + 1) * d] for i in range(d)]
+        for kb, bcols in cols:
+            out[ka + kb] = [sum(map(mul, row, col))
+                            for row in rows for col in bcols]
+    return out, da * db
+
+
+def tensor_product_sum(pairs, d):
+    """Sum of a (x) b over pairs of integer tables (see int_table), as one
+    (table, denominator) pair."""
+    return _merge((_products(a, b, d) for a, b in pairs), d * d)
 
 
 def mul_at(f, g, order):
@@ -367,10 +455,13 @@ def mul_at(f, g, order):
        order > g.N + (lf if lf is not None else order):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
-    out = [MultiMap(f.d, n, tensor_product_sum(
-        (f[k], g[n - k]) for k in range(max(0, n - g.N), min(n, f.N) + 1)))
+    d = f.d
+    ft = [int_table(m) for m in f.maps[:order + 1]]
+    gt = [int_table(m) for m in g.maps[:order + 1]]
+    out = [MultiMap.from_int_table(d, n, *tensor_product_sum(
+        ((ft[k], gt[n - k]) for k in range(max(0, n - g.N), min(n, f.N) + 1)), d))
         for n in range(order + 1)]
-    return TruncSeries(f.d, order, out)
+    return TruncSeries(d, order, out)
 
 
 def _compositions(n, parts):
@@ -383,20 +474,9 @@ def _compositions(n, parts):
             yield (first,) + rest
 
 
-# Composition is the one genuinely expensive operation, so its inner sum runs
-# on integers: each tensor is cleared of denominators once, the k-fold
-# contraction f_k(g_{m_1}(...), ..., g_{m_k}(...)) proceeds slot by slot on
-# integer coordinate vectors, and fractions reappear only in the final merge.
-
-def _int_table(m):
-    """(key -> integer coordinate vector, common denominator) for a MultiMap."""
-    den = 1
-    for val in m.tensor.values():
-        for c in val.coords():
-            den = den * c.denominator // gcd(den, c.denominator)
-    return {key: tuple(int(c * den) for c in val.coords())
-            for key, val in m.tensor.items()}, den
-
+# The k-fold contraction f_k(g_{m_1}(...), ..., g_{m_k}(...)) proceeds slot
+# by slot on integer coordinate vectors; it serves composition, the
+# reversion and every tree sum.
 
 def _contract(fk_table, fk_den, parts, dd):
     """One composition term: contract f_k against the k part tables.
@@ -432,48 +512,19 @@ def _contract(fk_table, fk_den, parts, dd):
     return out, den
 
 
-def _merge_contrib(acc, contrib, dd):
-    table, den = contrib
-    for key, vec in table.items():
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = [Fraction(x, den) for x in vec]
-        else:
-            for t in range(dd):
-                if vec[t]:
-                    cur[t] += Fraction(vec[t], den)
-
-
-def _composition_terms(f, g_maps, k_min):
-    """degree(n): the tensor of sum f_k(g_{m_1}, ..., g_{m_k}) over k >= k_min
-    and m_1 + ... + m_k = n, skipping zero or missing g_m.
-
-    `g_maps` may grow between calls; the integer tables of f and g are built
-    once and kept for later degrees.
-    """
-    d = f.d
-    dd = d * d
-    f_tabs, g_tabs = {}, {}
-
-    def degree(n):
-        acc = {}
-        for k in range(k_min, min(n, f.N) + 1):
-            if f[k].is_zero():
-                continue
-            if k not in f_tabs:
-                f_tabs[k] = _int_table(f[k])
+def _composition_degree(f_tabs, g_tabs, k_min, n, dd):
+    """(table, denominator) of the sum of f_k(g_{m_1}, ..., g_{m_k}) over
+    k >= k_min and m_1 + ... + m_k = n, skipping zero or missing g_m;
+    f_tabs and g_tabs hold integer tables indexed by degree."""
+    def terms():
+        for k in range(k_min, min(n, len(f_tabs) - 1) + 1):
             fk_table, fk_den = f_tabs[k]
+            if not fk_table:
+                continue
             for comp in _compositions(n, k):
-                if any(m >= len(g_maps) or g_maps[m].is_zero() for m in comp):
-                    continue
-                for m in comp:
-                    if m not in g_tabs:
-                        g_tabs[m] = _int_table(g_maps[m])
-                _merge_contrib(acc, _contract(fk_table, fk_den,
-                                              [g_tabs[m] for m in comp], dd), dd)
-        return {key: AlgebraElement.from_coords(d, tuple(vec))
-                for key, vec in acc.items()}
-    return degree
+                if all(m < len(g_tabs) and g_tabs[m][0] for m in comp):
+                    yield _contract(fk_table, fk_den, [g_tabs[m] for m in comp], dd)
+    return _merge(terms(), dd)
 
 
 def compose_at(f, g, order):
@@ -498,8 +549,11 @@ def compose_at(f, g, order):
        (pos_lead is not None and order - (pos_lead - 1) * lg > g.N):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
-    degree = _composition_terms(f, g.maps, 1)
-    out = [f[0]] + [MultiMap(d, n, degree(n)) for n in range(1, order + 1)]
+    f_tabs = [int_table(m) for m in f.maps[:order + 1]]
+    g_tabs = [int_table(m) for m in g.maps[:order + 1]]
+    out = [f[0]] + [MultiMap.from_int_table(
+        d, n, *_composition_degree(f_tabs, g_tabs, 1, n, d * d))
+        for n in range(1, order + 1)]
     return TruncSeries(d, order, out)
 
 
@@ -516,21 +570,35 @@ def series_compose(f, g):
 
 
 def mult_inverse(f):
-    """Inverse for the convolution product; needs f in G^inv."""
+    """Inverse for the convolution product; needs f in G^inv.
+
+    inv_n = -c0 sum_{k>=1} f_k (x) inv_{n-k} with c0 = f_0^{-1}; the factor
+    -c0 is multiplied into each f_k once.
+    """
     d, N = f.d, f.N
     try:
         c0 = mat_inverse(f[0].tensor.get((), AlgebraElement.zero(d)))
     except NotInvertibleError:
         raise ValueError("constant term is not invertible") from None
-    inv = [MultiMap.constant(c0)]
+    left = int_table(MultiMap.constant(c0.scale(-1)))
+    f_tabs = [None] + [tensor_product_sum([(left, int_table(f[k]))], d)
+                       for k in range(1, N + 1)]
+    inv_tabs = [int_table(MultiMap.constant(c0))]
+    inv = [MultiMap.from_int_table(d, 0, *inv_tabs[0])]
     for n in range(1, N + 1):
-        tensor = tensor_product_sum((f[k], inv[n - k]) for k in range(1, n + 1))
-        inv.append(MultiMap(d, n, {k: (c0 * v).scale(-1) for k, v in tensor.items()}))
+        tab = tensor_product_sum(((f_tabs[k], inv_tabs[n - k])
+                                  for k in range(1, n + 1)), d)
+        inv_tabs.append(tab)
+        inv.append(MultiMap.from_int_table(d, n, *tab))
     return TruncSeries(d, N, inv)
 
 
 def comp_inverse(f):
-    """Inverse for composition; needs f in G^dif."""
+    """Inverse for composition; needs f in G^dif.
+
+    g_1 = f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ..., g_{m_k}));
+    -f_1^{-1} is contracted into each f_k once, as an integer matrix.
+    """
     if not f[0].is_zero() or f.N < 1:
         raise ValueError("series is not compositionally invertible")
     d, N = f.d, f.N
@@ -539,13 +607,17 @@ def comp_inverse(f):
         l_inv = linmap_inverse(f[1].as_linmap())
     except NotInvertibleError:
         raise ValueError("series is not compositionally invertible") from None
-    basis = [AlgebraElement.basis(d, i) for i in range(dd)]
-    g = [MultiMap.zero(d, 0),
-         MultiMap(d, 1, {(i,): l_inv(basis[i]) for i in range(dd)})]
-    degree = _composition_terms(f, g, 2)
+    g_tabs = [({}, 1), int_table(MultiMap(d, 1, {
+        (i,): img for i, img in enumerate(l_inv.images)}))]
+    g1_table, g1_den = g_tabs[1]
+    neg = {key: [-x for x in vec] for key, vec in g1_table.items()}
+    f_tabs = [({}, 1), ({}, 1)] + [_contract(neg, g1_den, [int_table(f[k])], dd)
+                                   for k in range(2, N + 1)]
+    g = [MultiMap.zero(d, 0), MultiMap.from_int_table(d, 1, g1_table, g1_den)]
     for n in range(2, N + 1):
-        g.append(MultiMap(d, n, {key: l_inv(val).scale(-1)
-                                 for key, val in degree(n).items()}))
+        tab = _composition_degree(f_tabs, g_tabs, 2, n, dd)
+        g_tabs.append(tab)
+        g.append(MultiMap.from_int_table(d, n, *tab))
     return TruncSeries(d, N, g)
 
 
@@ -661,29 +733,9 @@ class TreeTensors:
         Each tree's (integer table, denominator) is merged over one running
         common denominator, and every entry becomes a Fraction once.
         """
-        d, dd = self.d, self.d * self.d
-        acc, acc_den = {}, 1
-        for t in forest:
-            table, den = self.value(t, 0, role)
-            if not table:
-                continue
-            common = acc_den * den // gcd(acc_den, den)
-            if common != acc_den:
-                up = common // acc_den
-                for vec in acc.values():
-                    vec[:] = [up * x for x in vec]
-                acc_den = common
-            up = common // den
-            for key, vec in table.items():
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = [up * x for x in vec]
-                else:
-                    for i in range(dd):
-                        cur[i] += up * vec[i]
-        return {key: AlgebraElement.from_coords(
-                    d, tuple(Fraction(x, acc_den) for x in vec))
-                for key, vec in acc.items()}
+        d = self.d
+        return _elements(*_merge((self.value(t, 0, role) for t in forest),
+                                 d * d), d)
 
     def value(self, t, parity, role):
         """(integer table, denominator) of the tree t whose argument segment
@@ -722,7 +774,7 @@ class TreeTensors:
             if m >= len(maps):
                 raise ValueError(f"tree needs a degree-{m} map but the series "
                                  f"stops at {len(maps) - 1}")
-            tab = self._spines[key] = _int_table(maps[m])
+            tab = self._spines[key] = int_table(maps[m])
         return tab
 
     def _slot(self, s, w, parity, role):

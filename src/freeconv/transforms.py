@@ -14,8 +14,8 @@ import random
 
 from .algebra import AlgebraElement, mat_inverse
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, comp_inverse,
-                          compose_at, first_difference, is_gdif, is_gi,
-                          is_ginv, mul_at, mult_inverse, random_series,
+                          compose_at, first_difference, int_table, is_gdif,
+                          is_gi, is_ginv, mul_at, mult_inverse, random_series,
                           tensor_product_sum)
 from .trees import enumerate_trees, rmap
 from .verify import Report
@@ -92,26 +92,40 @@ def strip_identity(f):
                        [f[m + 1].unit_in_first_slot() for m in range(f.N)])
 
 
-def _s_via_inverse(f):
-    return strip_identity(comp_inverse(f))
+def _s_via_inverse(rev):
+    """S read off the reversion rev = f^{o-1} = I.S."""
+    return strip_identity(rev)
 
 
 def _s_via_fixed_point(f):
     # S solves S = (F o (I.S))^{-1}: degree m of the right-hand side only
-    # involves S below degree m, so the coefficients peel off one at a time.
+    # involves S below degree m, so the coefficients peel off one at a time:
+    # S_m = -sum_{k<m} S_k (x) (T_{m-k} T_0^{-1}) with T = F o (I.S_{<m}).
     d = f.d
     F = strip_identity(f)
-    s0 = mat_inverse(F[0].tensor[()])
-    smaps = [MultiMap.constant(s0)]
+    s_tabs = [int_table(MultiMap.constant(mat_inverse(F[0].tensor[()])))]
+    smaps = [MultiMap.from_int_table(d, 0, *s_tabs[0])]
     for m in range(1, f.N):
         part = TruncSeries(d, m - 1, smaps)
         inner = mul_at(TruncSeries.identity(d, m), part, m)
         comp = compose_at(F, inner, m)
         t0_inv = mat_inverse(comp[0].tensor[()])
-        tensor = tensor_product_sum((smaps[k], comp[m - k]) for k in range(m))
-        smaps.append(MultiMap(d, m, {k: (v * t0_inv).scale(-1)
-                                     for k, v in tensor.items()}))
+        right = int_table(MultiMap.constant(t0_inv.scale(-1)))
+        t_tabs = [None] + [tensor_product_sum([(int_table(comp[j]), right)], d)
+                           for j in range(1, m + 1)]
+        tab = tensor_product_sum(((s_tabs[k], t_tabs[m - k]) for k in range(m)), d)
+        s_tabs.append(tab)
+        smaps.append(MultiMap.from_int_table(d, m, *tab))
     return TruncSeries(d, f.N - 1, smaps)
+
+
+def _s_both_ways(f, rev):
+    """S from the reversion rev of f and by the fixed point; they must agree."""
+    a = _s_via_inverse(rev)
+    b = _s_via_fixed_point(f)
+    if a != b:
+        raise ArithmeticError("the two S-transform computations disagree")
+    return a
 
 
 def s_transform(f):
@@ -122,11 +136,7 @@ def s_transform(f):
     """
     if not is_gi(f):
         raise ValueError("the S-transform needs a series of the I.F shape")
-    a = _s_via_inverse(f)
-    b = _s_via_fixed_point(f)
-    if a != b:
-        raise ArithmeticError("the two S-transform computations disagree")
-    return a
+    return _s_both_ways(f, comp_inverse(f))
 
 
 def u_transform(f):
@@ -134,16 +144,19 @@ def u_transform(f):
 
     The alternatives are (F.I) o (I.S) and (F.I) o f^{o-1}; all three agree
     degree by degree.  Lands in the composition group, same order as f.
+    One reversion of f serves both the S route that strips it and the third
+    expression.
     """
     if not is_gi(f):
         raise ValueError("the U-transform needs a series of the I.F shape")
     d, N = f.d, f.N
-    s = s_transform(f)
+    rev = comp_inverse(f)
+    s = _s_both_ways(f, rev)
     ident = TruncSeries.identity(d, N)
     u1 = mul_at(mul_at(mult_inverse(s), ident, N), s, N)
     fi = mul_at(strip_identity(f), ident, N)
     u2 = compose_at(fi, mul_at(ident, s, N), N)
-    u3 = compose_at(fi, comp_inverse(f), N)
+    u3 = compose_at(fi, rev, N)
     if not (u1 == u2 == u3):
         raise ArithmeticError("the three U-transform expressions disagree")
     return u1

@@ -1,0 +1,241 @@
+"""The integer series kernel against the Fraction-entry series arithmetic.
+
+``mul_at``, ``compose_at``, both inverses and the S fixed-point step run on
+integer tables over one denominator.  The oracles here are the series
+layer as it was before: products and inverses entry by entry on
+``AlgebraElement`` values, and composition merged into ``Fraction`` entries
+term by term.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from freeconv.algebra import (AlgebraElement, NotInvertibleError,
+                              linmap_inverse, mat_inverse)
+from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
+                                  comp_inverse, compose_at, int_table, is_gi,
+                                  mul_at, mult_inverse, random_series,
+                                  tensor_product_sum)
+from freeconv.transforms import _s_via_fixed_point, strip_identity
+import freeconv.transforms as transforms
+
+_SHAPES = [(d, order) for d in (1, 2, 3) for order in range(1, 5)
+           if d < 3 or order <= 3]
+
+
+# -- the Fraction-entry oracles ----------------------------------------------------
+
+
+def _tensor_product_sum(pairs):
+    """Sum of a (x) b over pairs of maps, entry by entry, as a tensor."""
+    tensor = {}
+    for a, b in pairs:
+        for ka, va in a.tensor.items():
+            for kb, vb in b.tensor.items():
+                key = ka + kb
+                val = va * vb
+                tensor[key] = tensor[key] + val if key in tensor else val
+    return tensor
+
+
+def _mul_at(f, g, order):
+    out = [MultiMap(f.d, n, _tensor_product_sum(
+        (f[k], g[n - k]) for k in range(max(0, n - g.N), min(n, f.N) + 1)))
+        for n in range(order + 1)]
+    return TruncSeries(f.d, order, out)
+
+
+# composition as it ran before the integer kernel: each term contracted on
+# integers, and the terms merged into Fraction entries one by one
+
+def _int_table(m):
+    den = 1
+    for val in m.tensor.values():
+        for c in val.coords():
+            den = den * c.denominator // gcd(den, c.denominator)
+    return {key: tuple(int(c * den) for c in val.coords())
+            for key, val in m.tensor.items()}, den
+
+
+def _contract(fk_table, fk_den, parts, dd):
+    state = {((), j): vec for j, vec in fk_table.items()}
+    for tbl, _ in parts:
+        new = {}
+        for (prefix, jsuf), vec in state.items():
+            j0, rest = jsuf[0], jsuf[1:]
+            for key_i, avec in tbl.items():
+                c = avec[j0]
+                if not c:
+                    continue
+                nk = (prefix + (key_i,), rest)
+                cur = new.get(nk)
+                if cur is None:
+                    new[nk] = [c * x for x in vec]
+                else:
+                    for t in range(dd):
+                        cur[t] += c * vec[t]
+        state = new
+    den = fk_den
+    for _, dn in parts:
+        den *= dn
+    out = {}
+    for (prefix, _), vec in state.items():
+        key = ()
+        for piece in prefix:
+            key += piece
+        out[key] = vec
+    return out, den
+
+
+def _composition_sum(f, g_maps, k_min, n):
+    d = f.d
+    dd = d * d
+    acc = {}
+    for k in range(k_min, min(n, f.N) + 1):
+        if f[k].is_zero():
+            continue
+        fk_table, fk_den = _int_table(f[k])
+        for comp in _compositions(n, k):
+            if any(m >= len(g_maps) or g_maps[m].is_zero() for m in comp):
+                continue
+            table, den = _contract(fk_table, fk_den,
+                                   [_int_table(g_maps[m]) for m in comp], dd)
+            for key, vec in table.items():
+                cur = acc.get(key)
+                if cur is None:
+                    acc[key] = [Fraction(x, den) for x in vec]
+                else:
+                    for t in range(dd):
+                        if vec[t]:
+                            cur[t] += Fraction(vec[t], den)
+    return {key: AlgebraElement.from_coords(d, tuple(vec))
+            for key, vec in acc.items()}
+
+
+def _compose_at(f, g, order):
+    d = f.d
+    out = [f[0]] + [MultiMap(d, n, _composition_sum(f, g.maps, 1, n))
+                    for n in range(1, order + 1)]
+    return TruncSeries(d, order, out)
+
+
+def _mult_inverse(f):
+    d, N = f.d, f.N
+    c0 = mat_inverse(f[0].tensor[()])
+    inv = [MultiMap.constant(c0)]
+    for n in range(1, N + 1):
+        tensor = _tensor_product_sum((f[k], inv[n - k]) for k in range(1, n + 1))
+        inv.append(MultiMap(d, n, {k: (c0 * v).scale(-1) for k, v in tensor.items()}))
+    return TruncSeries(d, N, inv)
+
+
+def _comp_inverse(f):
+    d, N = f.d, f.N
+    l_inv = linmap_inverse(f[1].as_linmap())
+    g = [MultiMap.zero(d, 0),
+         MultiMap(d, 1, {(i,): l_inv(AlgebraElement.basis(d, i))
+                         for i in range(d * d)})]
+    for n in range(2, N + 1):
+        g.append(MultiMap(d, n, {key: l_inv(val).scale(-1) for key, val
+                                 in _composition_sum(f, g, 2, n).items()}))
+    return TruncSeries(d, N, g)
+
+
+def _s_fixed_point(f):
+    d = f.d
+    F = strip_identity(f)
+    s0 = mat_inverse(F[0].tensor[()])
+    smaps = [MultiMap.constant(s0)]
+    for m in range(1, f.N):
+        part = TruncSeries(d, m - 1, smaps)
+        inner = _mul_at(TruncSeries.identity(d, m), part, m)
+        comp = _compose_at(F, inner, m)
+        t0_inv = mat_inverse(comp[0].tensor[()])
+        tensor = _tensor_product_sum((smaps[k], comp[m - k]) for k in range(m))
+        smaps.append(MultiMap(d, m, {k: (v * t0_inv).scale(-1)
+                                     for k, v in tensor.items()}))
+    return TruncSeries(d, f.N - 1, smaps)
+
+
+# -- the kernel against the oracles ------------------------------------------------
+
+
+def _zero_inner(rng, d, order, kind, g):
+    """A zero-constant inner series for composition: g itself if it has one."""
+    return g if g[0].is_zero() else random_series(rng, d, order, "mult")
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["ginv", "gdif", "gi", "mult"]),
+       shape=st.sampled_from(_SHAPES),
+       seed=st.integers(0, 2 ** 16))
+def test_series_kernel_matches_the_fraction_entry_oracles(kind, shape, seed):
+    d, order = shape
+    rng = random.Random(seed)
+    f = random_series(rng, d, order, kind)
+    g = random_series(rng, d, order, kind)
+
+    assert mul_at(f, g, order) == _mul_at(f, g, order)
+    k = rng.randint(0, order)
+    m = rng.randint(0, order - k)
+    pairs = [(f[k], g[m]), (f[m], g[k])]
+    got = tensor_product_sum([(int_table(a), int_table(b)) for a, b in pairs], d)
+    assert MultiMap.from_int_table(d, k + m, *got) == \
+        MultiMap(d, k + m, _tensor_product_sum(pairs))
+
+    inner = _zero_inner(rng, d, order, kind, g)
+    assert compose_at(f, inner, order) == _compose_at(f, inner, order)
+
+    if kind == "ginv":
+        assert mult_inverse(f) == _mult_inverse(f)
+    if f[0].is_zero():
+        try:
+            linmap_inverse(f[1].as_linmap())
+        except NotInvertibleError:
+            with pytest.raises(ValueError):
+                comp_inverse(f)
+        else:
+            assert comp_inverse(f) == _comp_inverse(f)
+    if kind == "gi" and order >= 2:
+        assert _s_via_fixed_point(f) == _s_fixed_point(f)
+
+
+def test_zero_coordinates_are_the_int_zero():
+    # a Fraction zero costs every later truth test and comparison a Python
+    # call; is_gi and the operad suite measurably slowed down with them
+    rng = random.Random(3)
+    for d in (1, 2, 3):
+        f, g = (random_series(rng, d, 3, "gi", bound=2) for _ in range(2))
+        h = random_series(rng, d, 3, "ginv", bound=2)
+        # compose_at hands on the constant term of its outer series
+        outputs = [mul_at(f, g, 3).maps, mul_at(h, g, 3).maps,
+                   mult_inverse(h).maps, comp_inverse(f).maps,
+                   _s_via_fixed_point(f).maps, compose_at(h, f, 3).maps[1:]]
+        zeros = 0
+        for maps in outputs:
+            for m in maps:
+                for val in m.tensor.values():
+                    for c in val.coords():
+                        if c == 0:
+                            assert type(c) is int, (m, val)
+                            zeros += 1
+        assert d == 1 or zeros
+
+
+def test_u_transform_reverts_f_once(monkeypatch):
+    calls = []
+    real = transforms.comp_inverse
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(transforms, "comp_inverse", counted)
+    f = random_series(random.Random(4), 2, 3, "gi")
+    assert is_gi(f)
+    transforms.u_transform(f)
+    assert calls == [f]

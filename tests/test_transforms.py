@@ -110,7 +110,7 @@ def test_s_transform_defining_property():
 
 def test_s_transform_paths_agree():
     f = random_series(random.Random(12), D, N, "gi")
-    assert _s_via_inverse(f) == _s_via_fixed_point(f) == s_transform(f)
+    assert _s_via_inverse(comp_inverse(f)) == _s_via_fixed_point(f) == s_transform(f)
 
 
 def test_transforms_reject_non_absorbing_series():
