@@ -23,7 +23,8 @@ class NotInvertibleError(ValueError):
     """Raised when a matrix or linear map has no inverse."""
 
 
-def _as_fraction(x) -> Fraction:
+def as_fraction(x) -> Fraction:
+    """x as an exact Fraction: an int, a Fraction or a string; never a float."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -51,7 +52,7 @@ class AlgebraElement:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "AlgebraElement":
-        tup = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+        tup = tuple(tuple(as_fraction(x) for x in row) for row in rows)
         d = len(tup)
         if any(len(row) != d for row in tup):
             raise ValueError("matrix must be square")
@@ -99,7 +100,7 @@ class AlgebraElement:
             for row in self.rows))
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        c = _as_fraction(scalar)
+        c = as_fraction(scalar)
         return AlgebraElement(self.d, tuple(tuple(c * a for a in row) for row in self.rows))
 
     def scale(self, scalar) -> "AlgebraElement":

@@ -335,6 +335,8 @@ def catalan_decompose(fam, z):
 @lru_cache(maxsize=None)
 def family_elements(fam, n):
     """Level n of a family, enumerated through its own composition."""
+    if n < 0:
+        raise ValueError("family level must be non-negative")
     f = get_family(fam)
     if n == 0:
         return (f.unit,)

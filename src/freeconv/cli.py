@@ -198,6 +198,14 @@ def _cmd_verify(args):
     return 0 if report["status"] == "pass" else 1
 
 
+def _positive_int(text):
+    """The type of --order, --dim and --trials: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="freeconv",
@@ -263,9 +271,9 @@ def _build_parser():
     p.add_argument("--suite", required=True,
                    choices=("transforms", "freeprob", "bijections", "operad",
                             "sab-search", "all"))
-    p.add_argument("--order", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--order", type=_positive_int)
+    p.add_argument("--dim", type=_positive_int)
+    p.add_argument("--trials", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 

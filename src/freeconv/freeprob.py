@@ -88,8 +88,7 @@ def moments_from_cumulants(k):
     d, N = ser.d, ser.N
     sums = TreeTensors(d, (ser.maps,), (True, True))
     maps = [MultiMap.zero(d, 0)]
-    maps += [MultiMap(d, n, sums.tree_sum(enumerate_trees(n)))
-             for n in range(1, N + 1)]
+    maps += [sums.tree_sum(enumerate_trees(n), n) for n in range(1, N + 1)]
     return MomentSpec(TruncSeries(d, N, maps))
 
 
@@ -111,11 +110,8 @@ def cumulants_from_moments(m):
     sums = TreeTensors(d, (kmaps,), (True, True))
     for n in range(2, N + 1):
         comb_n = right_comb(n)
-        others = sums.tree_sum(t for t in enumerate_trees(n) if t != comb_n)
-        tensor = dict(ser[n].tensor)
-        for key, val in others.items():
-            tensor[key] = tensor[key] - val if key in tensor else -val
-        kmaps.append(MultiMap(d, n, tensor))
+        others = sums.tree_sum((t for t in enumerate_trees(n) if t != comb_n), n)
+        kmaps.append(ser[n] + others.scale(-1))
     return CumulantSpec(TruncSeries(d, N, kmaps))
 
 
@@ -218,14 +214,13 @@ def product_moments_oracle(ka, kb, order=None):
     if (ka.d, ka.N) != (kb.d, kb.N):
         raise ValueError("the two cumulant series must share (d, N)")
     N = ka.N if order is None else order
-    if not 0 <= N <= ka.N:
-        raise ValueError("order must lie in 0..%d" % ka.N)
+    if not 1 <= N <= ka.N:
+        raise ValueError("order must lie in 1..%d" % ka.N)
     d = ka.d
     sums = TreeTensors(d, (ka.series.maps, kb.series.maps), (True, False),
                        freeness=True)
     maps = [MultiMap.zero(d, 0)]
-    maps += [MultiMap(d, n, sums.tree_sum(enumerate_trees(2 * n)))
-             for n in range(1, N + 1)]
+    maps += [sums.tree_sum(enumerate_trees(2 * n), n) for n in range(1, N + 1)]
     return MomentSpec(TruncSeries(d, N, maps))
 
 

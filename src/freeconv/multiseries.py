@@ -9,12 +9,13 @@ constant.  The three groups of interest:
 * ``G^I``:   f = I.h with h in G^inv, i.e. f_n(x_1,...,x_n) =
   x_1 f_n(1, x_2,...,x_n) and f_1(1) invertible.
 
-All arithmetic is exact.  Maps store Fraction entries, but products,
-compositions, both inverses and the tree sums run on one integer kernel:
-each input map becomes an integer table over one common denominator
-(int_table), every sum is merged over one running denominator, and each
-output entry becomes a Fraction once.  Operations that mix two series
-of different truncation orders are rejected at the public level; the
+All arithmetic is exact.  A map stores one integer table over one common
+denominator, and every operation here runs on that pair: sums and scaling,
+the unit slots, products, compositions, both inverses and the tree sums.
+Fraction entries appear only where a map is built from AlgebraElement
+values (the checked MultiMap constructor) or read as them (evaluation and
+the ``tensor`` view).  Operations that mix two series of different
+truncation orders are rejected at the public level; the
 ``mul_at``/``compose_at`` variants compute a requested output order and raise
 unless the inputs genuinely determine every coefficient up to it, which is
 what the transform identities rely on (a factor with zero constant term
@@ -23,39 +24,67 @@ raises the usable order of the other factor).
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 
-from .algebra import (AlgebraElement, LinMap, NotInvertibleError, linmap_inverse,
-                      mat_inverse, random_element_from, random_invertible_from)
+from .algebra import (AlgebraElement, LinMap, NotInvertibleError, as_fraction,
+                      linmap_inverse, mat_inverse, random_element_from,
+                      random_invertible_from)
 from .trees import comb_decompose, is_leaf, size as tree_size
 
-
 class MultiMap:
-    """An n-multilinear map B^n -> B; ``tensor[(i_1..i_n)]`` is the value on
-    the basis tuple (e_{i_1}, ..., e_{i_n}), zero values omitted."""
+    """An n-multilinear map B^n -> B.
 
-    __slots__ = ("d", "n", "tensor")
+    ``table[(i_1..i_n)]`` is the value on the basis tuple
+    (e_{i_1}, ..., e_{i_n}) as an integer coordinate vector over the
+    common denominator ``den``.  Zero vectors are omitted and ``den`` is the
+    least common denominator, so two maps are equal exactly when their
+    (table, den) pairs are.  ``tensor`` reads the same values as
+    AlgebraElements.
+    """
+
+    __slots__ = ("d", "n", "table", "den", "_tensor")
 
     def __init__(self, d, n, tensor):
-        clean = {}
+        """The map with the values {key: AlgebraElement}, checked."""
+        values = {}
         for key, val in tensor.items():
             if len(key) != n or not all(0 <= i < d * d for i in key):
                 raise ValueError(f"bad index {key!r} for a degree-{n} map")
             if val.d != d:
                 raise ValueError("value dimension mismatch")
             if not val.is_zero():
-                clean[key] = val
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tensor", clean)
+                values[key] = val.coords()
+        den = lcm(*(c.denominator for coords in values.values() for c in coords))
+        _fill(self, d, n, {key: [c.numerator * (den // c.denominator)
+                                 for c in coords]
+                           for key, coords in values.items()}, den)
+
+    @classmethod
+    def _of(cls, d, n, table, den):
+        """The map table / den, unchecked: the table must hold no zero
+        vector and den must be the least common denominator."""
+        return _fill(object.__new__(cls), d, n, table, den)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiMap is immutable")
 
+    @property
+    def tensor(self):
+        """{key: AlgebraElement}, read-only, built on first read."""
+        view = self._tensor
+        if view is None:
+            d, den = self.d, self.den
+            view = MappingProxyType({key: AlgebraElement.from_coords(
+                d, tuple(Fraction(x, den) if x else 0 for x in vec))
+                for key, vec in self.table.items()})
+            object.__setattr__(self, "_tensor", view)
+        return view
+
     @classmethod
     def zero(cls, d, n):
-        return cls(d, n, {})
+        return cls._of(d, n, {}, 1)
 
     @classmethod
     def constant(cls, value):
@@ -79,61 +108,61 @@ class MultiMap:
             tensor[key] = fn(*(AlgebraElement.basis(d, i) for i in key))
         return cls(d, n, tensor)
 
-    @classmethod
-    def from_int_table(cls, d, n, table, den):
-        """The map whose value at key is table[key] / den (see int_table)."""
-        return cls(d, n, _elements(table, den, d))
-
     def __call__(self, *args):
         """Multilinear evaluation at arbitrary algebra elements."""
         if len(args) != self.n:
             raise ValueError(f"degree-{self.n} map called with {len(args)} arguments")
         coords = [a.coords() for a in args]
         acc = None
-        for key, val in self.tensor.items():
-            # starting from the first coordinate spares an int * Fraction
-            c = coords[0][key[0]] if key else 1
+        for key, vec in self.table.items():
+            # c must be a Fraction: vec holds ints and acc is divided by den
+            c = coords[0][key[0]] if key else Fraction(1)
             for j in range(1, len(key)):
                 if not c:
                     break
                 c = c * coords[j][key[j]]
             if not c:
                 continue
-            vc = val.coords()
             if acc is None:
-                acc = [c * x for x in vc]
+                acc = [c * x for x in vec]
             else:
-                for t, x in enumerate(vc):
+                for t, x in enumerate(vec):
                     if x:
                         acc[t] += c * x
         if acc is None:
             return AlgebraElement.zero(self.d)
+        den = self.den
+        if den != 1:
+            acc = [x / den for x in acc]
         return AlgebraElement.from_coords(self.d, tuple(acc))
 
     def __add__(self, other):
         if (self.d, self.n) != (other.d, other.n):
             raise ValueError("cannot add maps of different shape")
-        tensor = dict(self.tensor)
-        for key, val in other.tensor.items():
-            tensor[key] = tensor[key] + val if key in tensor else val
-        return MultiMap(self.d, self.n, tensor)
+        return _merge(((self.table, self.den), (other.table, other.den)),
+                      self.d, self.n)
 
     def scale(self, c):
-        return MultiMap(self.d, self.n, {k: v.scale(c) for k, v in self.tensor.items()})
+        c = as_fraction(c)
+        return _merge([({key: [c.numerator * x for x in vec] for key, vec
+                         in self.table.items()}, self.den * c.denominator)],
+                      self.d, self.n)
 
     def is_zero(self):
-        return not self.tensor
+        return not self.table
 
     def __eq__(self, other):
         return (isinstance(other, MultiMap)
-                and (self.d, self.n) == (other.d, other.n)
-                and self.tensor == other.tensor)
+                and (self.d, self.n, self.den) == (other.d, other.n, other.den)
+                and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.d, self.n, frozenset(self.tensor.items())))
+        return hash((self.d, self.n, self.den,
+                     frozenset((key, tuple(vec))
+                               for key, vec in self.table.items())))
 
     def __repr__(self):
-        return f"MultiMap(d={self.d}, n={self.n}, {len(self.tensor)} entries)"
+        return f"MultiMap(d={self.d}, n={self.n}, {len(self.table)} entries)"
 
     def as_linmap(self):
         if self.n != 1:
@@ -151,16 +180,23 @@ class MultiMap:
         return self._unit_in_slot(self.n - 1)
 
     def _unit_in_slot(self, j):
+        # the unit is the sum of the E_pp: one table per p, then one merge
         if self.n == 0:
             raise ValueError("degree-0 map has no slot")
         d = self.d
-        tensor = {}
-        for key, val in self.tensor.items():
+        diagonal = [{} for _ in range(d)]
+        for key, vec in self.table.items():
             p, q = divmod(key[j], d)
             if p == q:
-                rest = key[:j] + key[j + 1:]
-                tensor[rest] = tensor[rest] + val if rest in tensor else val
-        return MultiMap(d, self.n - 1, tensor)
+                diagonal[p][key[:j] + key[j + 1:]] = vec
+        return _merge(((table, self.den) for table in diagonal), d, self.n - 1)
+
+
+def _fill(m, d, n, table, den):
+    for name, value in (("d", d), ("n", n), ("table", table), ("den", den),
+                        ("_tensor", None)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 class TruncSeries:
@@ -318,7 +354,8 @@ def is_gi(f):
     so the factorization holds exactly when, for each (q, rest), the d
     entries f_n(E_pq, rest), p = 0..d-1, are all zero or all nonzero, and
     each is zero outside row p and carries one common row r(q, rest) there.
-    f_1(1) is then the matrix with rows r(q, ()).  One pass over each tensor.
+    f_1(1) is then the matrix with rows r(q, ()).  One pass over each
+    integer table, whose one denominator changes neither test.
     """
     if not f[0].is_zero() or f.N < 1:
         return False
@@ -326,12 +363,14 @@ def is_gi(f):
     for n in range(1, f.N + 1):
         common = {}
         count = {}
-        for key, val in f[n].tensor.items():
+        for key, vec in f[n].table.items():
             p, q = divmod(key[0], d)
-            if any(any(row) for i, row in enumerate(val.rows) if i != p):
+            lo, hi = p * d, p * d + d
+            if any(vec[:lo]) or any(vec[hi:]):
                 return False
+            row = vec[lo:hi]
             group = (q, key[1:])
-            if common.setdefault(group, val.rows[p]) != val.rows[p]:
+            if common.setdefault(group, row) != row:
                 return False
             count[group] = count.get(group, 0) + 1
         if any(c != d for c in count.values()):
@@ -340,7 +379,8 @@ def is_gi(f):
             if len(common) != d:
                 return False
             try:
-                mat_inverse(AlgebraElement(d, tuple(common[q, ()] for q in range(d))))
+                mat_inverse(AlgebraElement(d, tuple(
+                    tuple(map(Fraction, common[q, ()])) for q in range(d))))
             except NotInvertibleError:
                 return False
     return True
@@ -348,41 +388,19 @@ def is_gi(f):
 
 # -- the integer kernel -------------------------------------------------------------
 #
-# Products, compositions, both inverses and the tree sums run on integer
-# tables: {key: integer coordinate vector} with one common denominator for
-# the whole tensor.  A map is cleared of denominators once per call
-# (int_table), the terms of a sum are merged over one running common
-# denominator (_merge), and each output entry becomes a Fraction once
-# (MultiMap.from_int_table).  A zero coordinate comes back as the int 0, as
-# AlgebraElement products write it.
+# Products, compositions, both inverses and the tree sums run on the stored
+# (integer table, denominator) pairs.  The terms of a sum are merged over
+# one running common denominator (_merge), which reduces the result to the
+# least common denominator, drops zero vectors and returns the MultiMap.
 
-def int_table(m):
-    """(key -> integer coordinate vector, least common denominator) for a
-    MultiMap."""
-    den = 1
-    for val in m.tensor.values():
-        for c in val.coords():
-            q = c.denominator
-            if den % q:
-                den = den * q // gcd(den, q)
-    return {key: [c.numerator * (den // c.denominator) for c in val.coords()]
-            for key, val in m.tensor.items()}, den
-
-
-def _elements(table, den, d):
-    """{key: AlgebraElement} of an integer table; zero vectors are dropped."""
-    return {key: AlgebraElement.from_coords(
-                d, tuple(Fraction(x, den) if x else 0 for x in vec))
-            for key, vec in table.items() if any(vec)}
-
-
-def _merge(terms, dd):
-    """The sum of a stream of (integer table, denominator) terms, as one
-    (table, denominator) pair with the least common denominator.
+def _merge(terms, d, n):
+    """The degree-n map summing a stream of (integer table, denominator)
+    terms.
 
     The accumulator is rescaled only when a term's denominator does not
     divide the running one.
     """
+    dd = d * d
     acc, acc_den = {}, 1
     for table, den in terms:
         if not table:
@@ -414,30 +432,26 @@ def _merge(terms, dd):
             acc_den //= g
             for vec in acc.values():
                 vec[:] = [x // g for x in vec]
-    return acc, acc_den
+    return MultiMap._of(d, n, {key: vec for key, vec in acc.items() if any(vec)},
+                        acc_den)
 
 
 def _products(a, b, d):
-    """(a (x) b)(x, y) = a(x) b(y) for two integer tables: d x d integer
-    matrix products of the rows of a(x) with the columns of b(y)."""
-    ta, da = a
-    tb, db = b
+    """(a (x) b)(x, y) = a(x) b(y) for two maps: d x d integer matrix
+    products of the rows of a(x) with the columns of b(y)."""
     out = {}
-    if not ta or not tb:
-        return out, 1
-    cols = [(kb, [vb[j::d] for j in range(d)]) for kb, vb in tb.items()]
-    for ka, va in ta.items():
+    cols = [(kb, [vb[j::d] for j in range(d)]) for kb, vb in b.table.items()]
+    for ka, va in a.table.items():
         rows = [va[i * d:(i + 1) * d] for i in range(d)]
         for kb, bcols in cols:
             out[ka + kb] = [sum(map(mul, row, col))
                             for row in rows for col in bcols]
-    return out, da * db
+    return out, a.den * b.den
 
 
-def tensor_product_sum(pairs, d):
-    """Sum of a (x) b over pairs of integer tables (see int_table), as one
-    (table, denominator) pair."""
-    return _merge((_products(a, b, d) for a, b in pairs), d * d)
+def tensor_product_sum(pairs, d, n):
+    """The degree-n map summing a (x) b over pairs of maps."""
+    return _merge((_products(a, b, d) for a, b in pairs), d, n)
 
 
 def mul_at(f, g, order):
@@ -456,10 +470,8 @@ def mul_at(f, g, order):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
     d = f.d
-    ft = [int_table(m) for m in f.maps[:order + 1]]
-    gt = [int_table(m) for m in g.maps[:order + 1]]
-    out = [MultiMap.from_int_table(d, n, *tensor_product_sum(
-        ((ft[k], gt[n - k]) for k in range(max(0, n - g.N), min(n, f.N) + 1)), d))
+    out = [tensor_product_sum(
+        ((f[k], g[n - k]) for k in range(max(0, n - g.N), min(n, f.N) + 1)), d, n)
         for n in range(order + 1)]
     return TruncSeries(d, order, out)
 
@@ -512,19 +524,22 @@ def _contract(fk_table, fk_den, parts, dd):
     return out, den
 
 
-def _composition_degree(f_tabs, g_tabs, k_min, n, dd):
-    """(table, denominator) of the sum of f_k(g_{m_1}, ..., g_{m_k}) over
-    k >= k_min and m_1 + ... + m_k = n, skipping zero or missing g_m;
-    f_tabs and g_tabs hold integer tables indexed by degree."""
+def _composition_degree(f_maps, g_maps, k_min, n, d):
+    """The degree-n map summing f_k(g_{m_1}, ..., g_{m_k}) over k >= k_min
+    and m_1 + ... + m_k = n, skipping zero or missing g_m; f_maps and
+    g_maps are indexed by degree."""
+    g_tabs = [(m.table, m.den) for m in g_maps]
+
     def terms():
-        for k in range(k_min, min(n, len(f_tabs) - 1) + 1):
-            fk_table, fk_den = f_tabs[k]
-            if not fk_table:
+        for k in range(k_min, min(n, len(f_maps) - 1) + 1):
+            fk = f_maps[k]
+            if fk.is_zero():
                 continue
             for comp in _compositions(n, k):
                 if all(m < len(g_tabs) and g_tabs[m][0] for m in comp):
-                    yield _contract(fk_table, fk_den, [g_tabs[m] for m in comp], dd)
-    return _merge(terms(), dd)
+                    yield _contract(fk.table, fk.den, [g_tabs[m] for m in comp],
+                                    d * d)
+    return _merge(terms(), d, n)
 
 
 def compose_at(f, g, order):
@@ -549,11 +564,8 @@ def compose_at(f, g, order):
        (pos_lead is not None and order - (pos_lead - 1) * lg > g.N):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
-    f_tabs = [int_table(m) for m in f.maps[:order + 1]]
-    g_tabs = [int_table(m) for m in g.maps[:order + 1]]
-    out = [f[0]] + [MultiMap.from_int_table(
-        d, n, *_composition_degree(f_tabs, g_tabs, 1, n, d * d))
-        for n in range(1, order + 1)]
+    out = [f[0]] + [_composition_degree(f.maps, g.maps, 1, n, d)
+                    for n in range(1, order + 1)]
     return TruncSeries(d, order, out)
 
 
@@ -580,16 +592,13 @@ def mult_inverse(f):
         c0 = mat_inverse(f[0].tensor.get((), AlgebraElement.zero(d)))
     except NotInvertibleError:
         raise ValueError("constant term is not invertible") from None
-    left = int_table(MultiMap.constant(c0.scale(-1)))
-    f_tabs = [None] + [tensor_product_sum([(left, int_table(f[k]))], d)
+    left = MultiMap.constant(-c0)
+    scaled = [None] + [tensor_product_sum([(left, f[k])], d, k)
                        for k in range(1, N + 1)]
-    inv_tabs = [int_table(MultiMap.constant(c0))]
-    inv = [MultiMap.from_int_table(d, 0, *inv_tabs[0])]
+    inv = [MultiMap.constant(c0)]
     for n in range(1, N + 1):
-        tab = tensor_product_sum(((f_tabs[k], inv_tabs[n - k])
-                                  for k in range(1, n + 1)), d)
-        inv_tabs.append(tab)
-        inv.append(MultiMap.from_int_table(d, n, *tab))
+        inv.append(tensor_product_sum(((scaled[k], inv[n - k])
+                                       for k in range(1, n + 1)), d, n))
     return TruncSeries(d, N, inv)
 
 
@@ -602,22 +611,18 @@ def comp_inverse(f):
     if not f[0].is_zero() or f.N < 1:
         raise ValueError("series is not compositionally invertible")
     d, N = f.d, f.N
-    dd = d * d
     try:
         l_inv = linmap_inverse(f[1].as_linmap())
     except NotInvertibleError:
         raise ValueError("series is not compositionally invertible") from None
-    g_tabs = [({}, 1), int_table(MultiMap(d, 1, {
-        (i,): img for i, img in enumerate(l_inv.images)}))]
-    g1_table, g1_den = g_tabs[1]
-    neg = {key: [-x for x in vec] for key, vec in g1_table.items()}
-    f_tabs = [({}, 1), ({}, 1)] + [_contract(neg, g1_den, [int_table(f[k])], dd)
-                                   for k in range(2, N + 1)]
-    g = [MultiMap.zero(d, 0), MultiMap.from_int_table(d, 1, g1_table, g1_den)]
+    g1 = MultiMap(d, 1, {(i,): img for i, img in enumerate(l_inv.images)})
+    neg = {key: [-x for x in vec] for key, vec in g1.table.items()}
+    scaled = [None, None] + [
+        _merge([_contract(neg, g1.den, [(f[k].table, f[k].den)], d * d)], d, k)
+        for k in range(2, N + 1)]
+    g = [MultiMap.zero(d, 0), g1]
     for n in range(2, N + 1):
-        tab = _composition_degree(f_tabs, g_tabs, 2, n, dd)
-        g_tabs.append(tab)
-        g.append(MultiMap.from_int_table(d, n, *tab))
+        g.append(_composition_degree(scaled, g, 2, n, d))
     return TruncSeries(d, N, g)
 
 
@@ -695,7 +700,7 @@ def _times_units(table, d):
 class TreeTensors:
     """Tree maps at one fixed pattern of x and unit arguments, as tensors.
 
-    `series` holds one or two sequences of maps indexed by degree (the
+    `series` holds one or two sequences of MultiMaps indexed by degree (the
     ``maps`` of a TruncSeries, or a list that grows between calls);
     `x_at[p]` says whether the argument at a position of parity p is a free
     variable x rather than the unit.  Without `freeness` the spine series
@@ -720,22 +725,16 @@ class TreeTensors:
         self.freeness = freeness
         # a pattern that ignores parity needs no parity in its memo keys
         self._parity_mask = 1 if freeness or x_at[0] != x_at[1] else 0
-        self._spines = {}
         self._slots = {}
-        self._x_slot = ({(k,): [int(i == k) for i in range(dd)]
-                         for k in range(dd)}, 1)
+        self._x_slot = (MultiMap.identity(d).table, 1)
         self._unit_slot = ({(): [int(i % (d + 1) == 0) for i in range(dd)]}, 1)
 
-    def tree_sum(self, forest, role=0):
-        """{key: AlgebraElement}: the sum of the trees' maps at the pattern,
-        outer spines from series[role] unless `freeness` decides.
-
-        Each tree's (integer table, denominator) is merged over one running
-        common denominator, and every entry becomes a Fraction once.
-        """
-        d = self.d
-        return _elements(*_merge((self.value(t, 0, role) for t in forest),
-                                 d * d), d)
+    def tree_sum(self, forest, n, role=0):
+        """The degree-n MultiMap summing the trees' maps at the pattern, in
+        the n x's of each tree; outer spines from series[role] unless
+        `freeness` decides.  The trees' tables are merged over one running
+        common denominator."""
+        return _merge((self.value(t, 0, role) for t in forest), self.d, n)
 
     def value(self, t, parity, role):
         """(integer table, denominator) of the tree t whose argument segment
@@ -753,8 +752,12 @@ class TreeTensors:
             role, inner = spine.pop(), 0
         else:
             inner = (role + 1) % len(self.series)
-        table, den = self._spine(role, len(parts))
-        if not table:
+        maps = self.series[role]
+        if len(parts) >= len(maps):
+            raise ValueError(f"tree needs a degree-{len(parts)} map but the "
+                             f"series stops at {len(maps) - 1}")
+        spine_map = maps[len(parts)]
+        if spine_map.is_zero():
             return {}, 1
         slots = []
         pos = parity
@@ -764,18 +767,7 @@ class TreeTensors:
                 return {}, 1
             slots.append(slot)
             pos += w + 1
-        return _contract(table, den, slots, self.d * self.d)
-
-    def _spine(self, role, m):
-        key = (role, m)
-        tab = self._spines.get(key)
-        if tab is None:
-            maps = self.series[role]
-            if m >= len(maps):
-                raise ValueError(f"tree needs a degree-{m} map but the series "
-                                 f"stops at {len(maps) - 1}")
-            tab = self._spines[key] = int_table(maps[m])
-        return tab
+        return _contract(spine_map.table, spine_map.den, slots, self.d * self.d)
 
     def _slot(self, s, w, parity, role):
         """The slot filled by subtree s of width w, segment at `parity`."""

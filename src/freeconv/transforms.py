@@ -14,8 +14,8 @@ import random
 
 from .algebra import AlgebraElement, mat_inverse
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, comp_inverse,
-                          compose_at, first_difference, int_table, is_gdif,
-                          is_gi, is_ginv, mul_at, mult_inverse, random_series,
+                          compose_at, first_difference, is_gdif, is_gi,
+                          is_ginv, mul_at, mult_inverse, random_series,
                           tensor_product_sum)
 from .trees import enumerate_trees, rmap
 from .verify import Report
@@ -76,7 +76,7 @@ def boxconv(variant, f, g):
             forest = _doubled_forest(n - 1, planted=True)
         else:
             forest = _doubled_forest(n, planted=True)
-        out.append(MultiMap(d, n, sums.tree_sum(forest, role=outer)))
+        out.append(sums.tree_sum(forest, n, role=outer))
     return TruncSeries(d, order, out)
 
 
@@ -103,19 +103,16 @@ def _s_via_fixed_point(f):
     # S_m = -sum_{k<m} S_k (x) (T_{m-k} T_0^{-1}) with T = F o (I.S_{<m}).
     d = f.d
     F = strip_identity(f)
-    s_tabs = [int_table(MultiMap.constant(mat_inverse(F[0].tensor[()])))]
-    smaps = [MultiMap.from_int_table(d, 0, *s_tabs[0])]
+    smaps = [MultiMap.constant(mat_inverse(F[0].tensor[()]))]
     for m in range(1, f.N):
         part = TruncSeries(d, m - 1, smaps)
         inner = mul_at(TruncSeries.identity(d, m), part, m)
         comp = compose_at(F, inner, m)
-        t0_inv = mat_inverse(comp[0].tensor[()])
-        right = int_table(MultiMap.constant(t0_inv.scale(-1)))
-        t_tabs = [None] + [tensor_product_sum([(int_table(comp[j]), right)], d)
+        right = MultiMap.constant(-mat_inverse(comp[0].tensor[()]))
+        t_maps = [None] + [tensor_product_sum([(comp[j], right)], d, j)
                            for j in range(1, m + 1)]
-        tab = tensor_product_sum(((s_tabs[k], t_tabs[m - k]) for k in range(m)), d)
-        s_tabs.append(tab)
-        smaps.append(MultiMap.from_int_table(d, m, *tab))
+        smaps.append(tensor_product_sum(
+            ((smaps[k], t_maps[m - k]) for k in range(m)), d, m))
     return TruncSeries(d, f.N - 1, smaps)
 
 

@@ -258,27 +258,27 @@ def verify_operad_identities(N=5, d=2, trials=5, seed=0):
 def run_suite(name, order=None, dim=None, trials=None, seed=None):
     """Run one named verification suite and return its report dict.
 
-    Unset knobs fall back to each suite's own defaults, so "all" runs
-    every suite at its natural strength.
+    A knob left as None is not passed on, so the suite's own default
+    applies and "all" runs every suite at its natural strength; any other
+    value, zero included, is passed on as given.
     """
     from .freeprob import sab_search, verify_freeprob_identities
     from .transforms import verify_transform_identities
 
     seed = 0 if seed is None else seed
-    if name == "transforms":
-        return verify_transform_identities(N=order or 4, d=dim or 2,
-                                           trials=trials or 20, seed=seed)
-    if name == "freeprob":
-        return verify_freeprob_identities(N=order or 4, d=dim or 2,
-                                          trials=trials or 10, seed=seed)
+    knobs = {key: value for key, value in (("N", order), ("d", dim),
+                                           ("trials", trials))
+             if value is not None}
+    series_suites = {"transforms": verify_transform_identities,
+                     "freeprob": verify_freeprob_identities,
+                     "operad": verify_operad_identities,
+                     "sab-search": sab_search}
+    if name in series_suites:
+        return series_suites[name](seed=seed, **knobs)
     if name == "bijections":
-        return verify_bijection_identities(n_max=order or 6, seed=seed)
-    if name == "operad":
-        return verify_operad_identities(N=order or 5, d=dim or 2,
-                                        trials=trials or 5, seed=seed)
-    if name == "sab-search":
-        return sab_search(N=order or 4, d=dim or 2,
-                          trials=trials or 50, seed=seed)
+        if order is None:
+            return verify_bijection_identities(seed=seed)
+        return verify_bijection_identities(n_max=order, seed=seed)
     if name == "all":
         report = Report("all", seed=seed, order=order, dim=dim, trials=trials)
         for sub in ("transforms", "freeprob", "bijections", "operad"):

@@ -22,6 +22,12 @@ def test_each_family_level_has_catalan_size(fam):
         assert len(set(level)) == CATALAN[n]
 
 
+def test_negative_levels_are_rejected():
+    for fam in ("y", "ncp1"):
+        with pytest.raises(ValueError, match="non-negative"):
+            family_elements(fam, -1)
+
+
 @pytest.mark.parametrize("fam", sorted(FAMILIES))
 def test_compose_decompose_invert(fam):
     f = get_family(fam)

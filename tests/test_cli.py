@@ -8,6 +8,7 @@ import pytest
 from freeconv.cli import main
 from freeconv.freeprob import CumulantSpec
 from freeconv.multiseries import TruncSeries, random_series
+from freeconv.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -99,6 +100,12 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys)[0] == 2
 
 
+def test_negative_enumerate_level_exits_three(capsys):
+    code, out, err = run(capsys, "enumerate", "--kind", "trees", "--n", "-1",
+                         "--format", "count")
+    assert code == 3 and out == "" and "non-negative" in err
+
+
 def test_missing_file_exits_three(capsys):
     code, _, err = run(capsys, "stransform", "--f", "no-such-file.json")
     assert code == 3 and "error:" in err
@@ -187,3 +194,20 @@ def test_verify_output_is_deterministic(capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("elapsed"), b.pop("elapsed")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("knob", ["--order", "--dim", "--trials"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_verify_rejects_non_positive_knobs(capsys, knob, value):
+    code, out, err = run(capsys, "verify", "--suite", "operad", knob, value)
+    assert code == 2 and out == ""
+    assert f"argument {knob}: expected a positive integer" in err
+
+
+def test_run_suite_falls_back_only_on_none():
+    report = run_suite("operad", order=2, dim=1, trials=0, seed=0)
+    assert (report["order"], report["dim"], report["trials"]) == (2, 1, 0)
+    assert report["checks"] == []
+    assert run_suite("bijections", order=0)["order"] == 0
+    report = run_suite("all", order=1, dim=1, trials=0, seed=0)
+    assert (report["order"], report["dim"], report["trials"]) == (1, 1, 0)

@@ -148,6 +148,16 @@ def test_product_moments_oracle_is_a_moment_series():
     assert cumulants_from_moments(mab) == product_cumulants_oracle(ka, kb)
 
 
+def test_product_orders_outside_one_to_n_are_rejected():
+    ka, kb = _cumulants(64), _cumulants(65)
+    message = r"order must lie in 1\.\.%d" % N
+    for order in (0, -1, N + 1):
+        for fn in (product_moments_oracle, product_cumulants):
+            with pytest.raises(ValueError, match=message):
+                fn(ka, kb, order)
+    assert product_moments_oracle(ka, kb, 1).series.N == 1
+
+
 def test_scalar_product_cumulants_agree_with_the_commutative_picture():
     """At d = 1 the S-transforms multiply, so the suite's scalar check and
     the oracle route must coincide."""

@@ -41,6 +41,28 @@ def test_multimap_add_scale_zero():
     assert (m + z) == m
     assert m.scale(0).is_zero()
     assert (m + m) == m.scale(2)
+    with pytest.raises(TypeError):
+        m.scale(0.5)
+
+
+def test_the_constructor_checks_keys_and_dimensions():
+    x = _x(1)
+    with pytest.raises(ValueError, match="bad index"):
+        MultiMap(D, 2, {(0,): x})
+    for i in (-1, D * D):
+        with pytest.raises(ValueError, match="bad index"):
+            MultiMap(D, 1, {(i,): x})
+    with pytest.raises(ValueError, match="dimension"):
+        MultiMap(D, 1, {(0,): AlgebraElement.unit(D + 1)})
+    zero = MultiMap(D, 1, {(0,): AlgebraElement.zero(D)})
+    assert zero == MultiMap.zero(D, 1) and zero.is_zero()
+
+
+def test_the_tensor_view_is_read_only():
+    m = MultiMap.identity(D)
+    with pytest.raises(TypeError):
+        m.tensor[(0,)] = _x(1)
+    assert m.tensor[(0,)] == AlgebraElement.basis(D, 0)
 
 
 def test_unit_slots_evaluate_at_the_unit():
@@ -438,7 +460,7 @@ def test_alt_tree_eval_rejects_a_memo():
     with pytest.raises(TypeError):
         alt_tree_eval(f, g, t, args, {})
     sums = TreeTensors(D, (f.maps, g.maps), (True, False))
-    sums.tree_sum(rmap(t) for t in enumerate_trees(N))
+    sums.tree_sum((rmap(t) for t in enumerate_trees(N)), N)
     assert sums._slots
     for s, parity, role in sums._slots:
         assert s in enumerate_trees(tree_size(s)) and s != ()

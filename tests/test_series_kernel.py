@@ -1,12 +1,14 @@
 """The integer series kernel against the Fraction-entry series arithmetic.
 
-``mul_at``, ``compose_at``, both inverses and the S fixed-point step run on
-integer tables over one denominator.  The oracles here are the series
-layer as it was before: products and inverses entry by entry on
-``AlgebraElement`` values, and composition merged into ``Fraction`` entries
-term by term.
+Every map stores an integer table over one least common denominator, and
+``+``, ``scale``, the unit slots, ``mul_at``, ``compose_at``, both inverses
+and the S fixed-point step run on that pair.  The oracles here are the
+series layer as it was before: sums, scaling, unit slots, products and
+inverses entry by entry on ``AlgebraElement`` values, and composition
+merged into ``Fraction`` entries term by term.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -17,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from freeconv.algebra import (AlgebraElement, NotInvertibleError,
                               linmap_inverse, mat_inverse)
 from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
-                                  comp_inverse, compose_at, int_table, is_gi,
-                                  mul_at, mult_inverse, random_series,
+                                  comp_inverse, compose_at, is_gi, mul_at,
+                                  mult_inverse, random_series,
                                   tensor_product_sum)
-from freeconv.transforms import _s_via_fixed_point, strip_identity
+from freeconv.transforms import _s_via_fixed_point, boxconv, strip_identity
 import freeconv.transforms as transforms
 
 _SHAPES = [(d, order) for d in (1, 2, 3) for order in range(1, 5)
@@ -28,6 +30,30 @@ _SHAPES = [(d, order) for d in (1, 2, 3) for order in range(1, 5)
 
 
 # -- the Fraction-entry oracles ----------------------------------------------------
+
+
+# MultiMap's +, scale and unit slots as they ran on AlgebraElement values
+
+def _add(a, b):
+    tensor = dict(a.tensor)
+    for key, val in b.tensor.items():
+        tensor[key] = tensor[key] + val if key in tensor else val
+    return MultiMap(a.d, a.n, tensor)
+
+
+def _scale(m, c):
+    return MultiMap(m.d, m.n, {k: v.scale(c) for k, v in m.tensor.items()})
+
+
+def _unit_in_slot(m, j):
+    d = m.d
+    tensor = {}
+    for key, val in m.tensor.items():
+        p, q = divmod(key[j], d)
+        if p == q:
+            rest = key[:j] + key[j + 1:]
+            tensor[rest] = tensor[rest] + val if rest in tensor else val
+    return MultiMap(d, m.n - 1, tensor)
 
 
 def _tensor_product_sum(pairs):
@@ -183,8 +209,7 @@ def test_series_kernel_matches_the_fraction_entry_oracles(kind, shape, seed):
     k = rng.randint(0, order)
     m = rng.randint(0, order - k)
     pairs = [(f[k], g[m]), (f[m], g[k])]
-    got = tensor_product_sum([(int_table(a), int_table(b)) for a, b in pairs], d)
-    assert MultiMap.from_int_table(d, k + m, *got) == \
+    assert tensor_product_sum(pairs, d, k + m) == \
         MultiMap(d, k + m, _tensor_product_sum(pairs))
 
     inner = _zero_inner(rng, d, order, kind, g)
@@ -202,6 +227,73 @@ def test_series_kernel_matches_the_fraction_entry_oracles(kind, shape, seed):
             assert comp_inverse(f) == _comp_inverse(f)
     if kind == "gi" and order >= 2:
         assert _s_via_fixed_point(f) == _s_fixed_point(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["ginv", "gdif", "gi", "mult"]),
+       shape=st.sampled_from(_SHAPES),
+       seed=st.integers(0, 2 ** 16))
+def test_sums_scaling_and_unit_slots_match_the_fraction_entry_oracles(
+        kind, shape, seed):
+    d, order = shape
+    rng = random.Random(seed)
+    f = random_series(rng, d, order, kind)
+    g = random_series(rng, d, order, kind)
+    c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    for n in range(order + 1):
+        a, b = f[n], g[n]
+        assert a + b == _add(a, b)
+        assert a.scale(c) == _scale(a, c)
+        assert a + a.scale(-1) == MultiMap.zero(d, n)
+        if n:
+            assert a.unit_in_first_slot() == _unit_in_slot(a, 0)
+            assert a.unit_in_last_slot() == _unit_in_slot(a, n - 1)
+
+
+def test_cancelling_sums_reduce_the_denominator():
+    # unit slots and sums can cancel entries: what is left must come back
+    # over its least common denominator, with cancelled keys gone
+    half = Fraction(1, 2)
+    e00, e01 = AlgebraElement.basis(2, 0), AlgebraElement.basis(2, 1)
+    m = MultiMap(2, 2, {(0, 1): e00.scale(half), (3, 1): e00.scale(half),
+                        (0, 2): e01.scale(half), (3, 2): e01.scale(-half)})
+    slot = m.unit_in_first_slot()
+    assert (slot.table, slot.den) == ({(1,): [1, 0, 0, 0]}, 1)
+    assert slot == _unit_in_slot(m, 0)
+    extra = MultiMap(2, 2, {(0, 1): e00.scale(half)})
+    total = m + extra
+    assert total.den == 2 and total == _add(m, extra)
+    assert m.scale(2).den == 1 and m.scale(0) == MultiMap.zero(2, 2)
+
+
+def _kernel_outputs(rng, kind, d, order):
+    f = random_series(rng, d, order, kind)
+    g = random_series(rng, d, order, kind)
+    inner = _zero_inner(rng, d, order, kind, g)
+    out = [mul_at(f, g, order), compose_at(f, inner, order),
+           boxconv("redred", f, g), strip_identity(f)]
+    if kind == "ginv":
+        out.append(mult_inverse(f))
+    if kind == "gdif":
+        out.append(comp_inverse(f))
+    if kind == "gi" and order >= 2:
+        out.append(_s_via_fixed_point(f))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["ginv", "gdif", "gi", "mult"]),
+       shape=st.sampled_from(_SHAPES),
+       seed=st.integers(0, 2 ** 16))
+def test_kernel_outputs_are_stored_canonically(kind, shape, seed):
+    d, order = shape
+    for series in _kernel_outputs(random.Random(seed), kind, d, order):
+        for m in series.maps:
+            again = MultiMap(m.d, m.n, m.tensor)
+            assert again == m and hash(again) == hash(m)
+            assert all(any(vec) for vec in m.table.values())
+        text = json.dumps(series.to_json())
+        assert TruncSeries.from_json(json.loads(text)) == series
 
 
 def test_zero_coordinates_are_the_int_zero():

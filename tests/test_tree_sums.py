@@ -180,7 +180,7 @@ def test_tree_tensors_match_alt_tree_eval(kind, shape, seed, variant):
     largest = order if x_at == (True, True) else 2 * order
     for t in _some_trees(rng, order, largest):
         xs, args = _pattern_args(rng, d, size(t), x_at)
-        got = MultiMap(d, len(xs), sums.tree_sum([t], role))(*xs)
+        got = sums.tree_sum([t], len(xs), role)(*xs)
         assert got == alt_tree_eval(inner, outer, t, args)
 
 
@@ -199,7 +199,7 @@ def test_tree_tensors_match_the_mixed_cumulant(kind, shape, seed):
     for t in _some_trees(rng, order, 2 * order):
         xs, args = _pattern_args(rng, d, size(t), (True, False))
         letters = tuple((a, "ab"[i & 1]) for i, a in enumerate(args))
-        got = MultiMap(d, len(xs), sums.tree_sum([t]))(*xs)
+        got = sums.tree_sum([t], len(xs))(*xs)
         assert got == _mixed(t, letters, ka, kb)
         if kind == "gi":
             assert got == mixed_tree_cumulant(t, letters, CumulantSpec(ka),
@@ -210,7 +210,7 @@ def test_tree_tensors_reject_a_spine_longer_than_the_series():
     f = random_series(random.Random(1), 2, 2, "gi")
     sums = TreeTensors(2, (f.maps,), (True, True))
     with pytest.raises(ValueError, match="degree-3"):
-        sums.tree_sum([right_comb(3)])
+        sums.tree_sum([right_comb(3)], 3)
     with pytest.raises(ValueError, match="degree-3"):
         alt_tree_eval(f, f, right_comb(3), (AlgebraElement.unit(2),) * 3)
 
