@@ -2,7 +2,8 @@
 
 Everything here is a thin, exact layer over :class:`fractions.Fraction`:
 square matrices with rational entries, their inverses, linear maps B -> B
-stored on the matrix-unit basis, and a seeded generator of random elements.
+stored on the matrix-unit basis, and random elements drawn from a
+caller-owned generator.
 No floats anywhere.
 
 The basis of B is the family of matrix units E_pq, ordered row-major, so the
@@ -15,8 +16,6 @@ import json
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 class NotInvertibleError(ValueError):
@@ -248,16 +247,9 @@ def linmap_inverse(m: LinMap) -> LinMap:
     return LinMap(d, tuple(images))
 
 
-def random_element(seed: int, bound: int, d: int) -> AlgebraElement:
-    """Seeded random element: numerators in [-bound, bound], denominators in [1, bound]."""
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
-    rng = random.Random(seed)
-    return random_element_from(rng, bound, d)
-
-
 def random_element_from(rng: random.Random, bound: int, d: int) -> AlgebraElement:
-    """Like :func:`random_element` but drawing from a caller-owned generator."""
+    """Random element drawn from `rng`: numerators in [-bound, bound],
+    denominators in [1, bound]."""
     return AlgebraElement.from_rows(
         [[Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(d)]
          for _ in range(d)])

@@ -495,7 +495,7 @@ _DIAGRAMS = {
 }
 
 
-def verify_diagram(diagram_id, n, _override=None):
+def verify_diagram(diagram_id, n):
     """Check one square element-wise over all planar trees with n edges.
 
     Returns {"diagram", "statement", "n", "checked", "status", "witness"}.
@@ -503,9 +503,7 @@ def verify_diagram(diagram_id, n, _override=None):
     """
     if diagram_id not in _DIAGRAMS:
         raise ValueError("diagram id must be 1, 2 or 3")
-    legs = dict(_DIAGRAMS[diagram_id])
-    if _override:
-        legs.update(_override)
+    legs = _DIAGRAMS[diagram_id]
     checked = 0
     for p in family_elements("pt1", n):
         via_top = legs["right"](legs["top"](p))

@@ -23,8 +23,8 @@ from itertools import product as _cartesian
 
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, alt_tree_eval,
-                          comp_inverse, compose_at, first_difference, is_gi,
-                          mul_at, random_multimap, random_series, tree_eval)
+                          comp_inverse, compose_at, is_gi, mul_at,
+                          random_multimap, random_series, tree_eval)
 from .transforms import (boxconv, s_prime, s_transform, strip_identity,
                          u_transform)
 from .trees import (BE, BO, LEAF, NONE, SINGLE, classify, comb_decompose,
@@ -137,8 +137,7 @@ def speicher_relation_check(k, m):
              mul_at(core, one + mul_at(ident, M, order), order)),
             ("fixed-point-left", "M == (1 + M.I) * (K o (I + I.M.I))",
              mul_at(one + mul_at(M, ident, order), core, order))):
-        diff = first_difference(lhs, M)
-        report.record(cid, statement, diff is None, diff, {"order": order})
+        report.compare(cid, statement, lhs, M, {"order": order})
     return report.finish()
 
 
@@ -304,7 +303,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
     """
     rng = random.Random(seed)
     report = Report("freeprob", seed=seed, order=N, dim=d, trials=trials)
-    record = report.record
+    record, compare = report.record, report.compare
 
     ident = TruncSeries.identity(d, N)
 
@@ -318,61 +317,48 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
                "cumulants_from_moments(moments_from_cumulants(k)) == k",
                cumulants_from_moments(ma) == ka, None, params)
 
-        sp = speicher_relation_check(ka, ma)
-        record("moment-cumulant-fixed-points",
-               "M == (K o (I + I.M.I)) * (1 + I.M) and its left-handed twin",
-               sp["status"] == "pass",
-               next((c.get("witness") for c in sp["checks"]
-                     if c["status"] == "fail"), None), params)
+        for c in speicher_relation_check(ka, ma)["checks"]:
+            record("moment-cumulant-fixed-points",
+                   "M == (K o (I + I.M.I)) * (1 + I.M) and its left-handed "
+                   "twin", c["status"] == "pass", c.get("witness"), params)
 
         kab = product_cumulants_oracle(ka, kb)
         box = boxconv("box", ka.series, kb.series)
-        record("product-cumulants",
-               "oracle cumulants of ab == box(ka, kb)",
-               kab.series == box, first_difference(kab.series, box), params)
+        compare("product-cumulants", "oracle cumulants of ab == box(ka, kb)",
+                kab.series, box, params)
 
         s_ab = s_transform(kab.series)
         s_a, s_b = s_transform(ka.series), s_transform(kb.series)
         u_a, u_b = u_transform(ka.series), u_transform(kb.series)
         rhs = mul_at(s_b, compose_at(s_a, u_b, N - 1), N - 1)
-        record("s-of-product",
-               "S(ab) == S(b) * (S(a) o U(b)), via oracle and via box",
-               s_ab == rhs and s_transform(box) == rhs,
-               first_difference(s_ab, rhs), params)
+        statement = "S(ab) == S(b) * (S(a) o U(b)), via oracle and via box"
+        compare("s-of-product", statement, s_ab, rhs, params)
+        compare("s-of-product", statement, s_transform(box), rhs, params)
 
         sp_a, sp_b = s_prime(ka.series), s_prime(kb.series)
-        rhs = compose_at(mul_at(sp_b, s_a, N - 1), u_b, N - 1)
-        record("s-of-product-primed",
-               "S(ab) == (S'(b) * S(a)) o U(b)",
-               s_ab == rhs, first_difference(s_ab, rhs), params)
+        compare("s-of-product-primed", "S(ab) == (S'(b) * S(a)) o U(b)",
+                s_ab, compose_at(mul_at(sp_b, s_a, N - 1), u_b, N - 1), params)
 
-        rhs = compose_at(mul_at(strip_identity(ma.series), ident, N),
-                         comp_inverse(ma.series), N)
-        record("u-from-moments",
-               "U(a) == (M.I) o (I.M)^{o-1}",
-               u_a == rhs, first_difference(u_a, rhs), params)
+        compare("u-from-moments", "U(a) == (M.I) o (I.M)^{o-1}",
+                u_a, compose_at(mul_at(strip_identity(ma.series), ident, N),
+                                comp_inverse(ma.series), N), params)
 
-        u_ab = u_transform(kab.series)
-        rhs = compose_at(u_a, u_b, N)
-        record("u-of-product", "U(ab) == U(a) o U(b)",
-               u_ab == rhs, first_difference(u_ab, rhs), params)
+        compare("u-of-product", "U(ab) == U(a) o U(b)",
+                u_transform(kab.series), compose_at(u_a, u_b, N), params)
 
         sp_ab = s_prime(kab.series)
         ua_inv = comp_inverse(u_a)
-        rhs = mul_at(compose_at(sp_b, ua_inv, N - 1), sp_a, N - 1)
-        record("sprime-of-product",
-               "S'(ab) == (S'(b) o U(a)^{o-1}) * S'(a)",
-               sp_ab == rhs, first_difference(sp_ab, rhs), params)
-        rhs = compose_at(mul_at(sp_b, s_a, N - 1), ua_inv, N - 1)
-        record("sprime-of-product-joint",
-               "S'(ab) == (S'(b) * S(a)) o U(a)^{o-1}",
-               sp_ab == rhs, first_difference(sp_ab, rhs), params)
+        compare("sprime-of-product", "S'(ab) == (S'(b) o U(a)^{o-1}) * S'(a)",
+                sp_ab, mul_at(compose_at(sp_b, ua_inv, N - 1), sp_a, N - 1),
+                params)
+        compare("sprime-of-product-joint",
+                "S'(ab) == (S'(b) * S(a)) o U(a)^{o-1}",
+                sp_ab, compose_at(mul_at(sp_b, s_a, N - 1), ua_inv, N - 1),
+                params)
 
         if d == 1:
-            rhs = mul_at(s_b, s_a, N - 1)
-            record("s-of-product-scalar",
-                   "S(ab) == S(b) * S(a) when d == 1",
-                   s_ab == rhs, first_difference(s_ab, rhs), params)
+            compare("s-of-product-scalar", "S(ab) == S(b) * S(a) when d == 1",
+                    s_ab, mul_at(s_b, s_a, N - 1), params)
 
     # a constant cumulant series multiplies S-transforms without composing
     c = random_invertible_from(rng, 2, d)
@@ -382,53 +368,52 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
     ka_c = CumulantSpec(TruncSeries(d, N, const_maps))
     kb_r = CumulantSpec(random_series(rng, d, N, "gi", bound=2))
     box_c = boxconv("box", ka_c.series, kb_r.series)
-    oracle_c = product_cumulants_oracle(ka_c, kb_r).series
-    record("product-cumulants-constant-factor",
-           "oracle cumulants of ab == box(ka, kb) for constant ka",
-           oracle_c == box_c, first_difference(oracle_c, box_c),
-           {"constant": True})
+    compare("product-cumulants-constant-factor",
+            "oracle cumulants of ab == box(ka, kb) for constant ka",
+            product_cumulants_oracle(ka_c, kb_r).series, box_c,
+            {"constant": True})
     rhs = mul_at(s_transform(kb_r.series), s_transform(ka_c.series), N - 1)
-    s_box_c = s_transform(box_c)
-    record("s-of-product-constant-factor",
-           "S(ab) == S(b) * S(a) when the cumulant series of a is constant",
-           s_box_c == rhs, first_difference(s_box_c, rhs), {"constant": True})
+    compare("s-of-product-constant-factor",
+            "S(ab) == S(b) * S(a) when the cumulant series of a is constant",
+            s_transform(box_c), rhs, {"constant": True})
 
-    # fresh pair for the structural checks
+    # fresh pair for the structural checks; each registers before its loop
+    # and records every item, so a failure keeps its first failing item
     ka = CumulantSpec(random_series(rng, d, N, "gi", bound=2))
     kb = CumulantSpec(random_series(rng, d, N, "gi", bound=2))
     kab = product_cumulants_oracle(ka, kb)
     mab = moments_from_cumulants(kab)
+    one = AlgebraElement.unit(d)
 
-    ok, witness = True, None
+    cid = "split-iff-parity-class"
+    statement = "a tree splits exactly when its parity classification succeeds"
+    record(cid, statement, True, None, {"sizes": "1..%d" % (2 * N)})
     for sz in range(1, 2 * N + 1):
         for t in enumerate_trees(sz):
-            if splits(t) != (classify(t) != NONE):
-                ok, witness = False, {"tree": t}
-    record("split-iff-parity-class",
-           "a tree splits exactly when its parity classification succeeds",
-           ok, witness, {"sizes": "1..%d" % (2 * N)})
+            record(cid, statement, splits(t) == (classify(t) != NONE),
+                   {"tree": t})
 
-    ok, witness = True, None
+    cid = "non-split-vanishing"
+    statement = "kappa_t(x1 a, y1 b, ..., xn a, yn b) == 0 unless t splits"
+    record(cid, statement, True, None, {"sizes": "2..%d" % (2 * N)})
     for n in range(1, N + 1):
         xs = [random_element_from(rng, 3, d) for _ in range(n)]
         for variant in ("units", "random"):
             if variant == "units":
-                ys = [AlgebraElement.unit(d)] * n
+                ys = [one] * n
             else:
                 ys = [random_element_from(rng, 3, d) for _ in range(n)]
             letters = _interleave_letters(xs, ys)
             for t in enumerate_trees(2 * n):
-                if splits(t):
-                    continue
-                val = mixed_tree_cumulant(t, letters, ka, kb)
-                if not val.is_zero():
-                    ok, witness = False, {"tree": t, "n": n,
-                                          "variant": variant}
-    record("non-split-vanishing",
-           "kappa_t(x1 a, y1 b, ..., xn a, yn b) == 0 unless t splits",
-           ok, witness, {"sizes": "2..%d" % (2 * N)})
+                if not splits(t):
+                    val = mixed_tree_cumulant(t, letters, ka, kb)
+                    record(cid, statement, val.is_zero(),
+                           {"tree": t, "n": n, "variant": variant})
 
-    ok, witness = True, None
+    cid = "split-evaluation"
+    statement = ("on a splitting tree the mixed cumulant is the alternating "
+                 "two-series evaluation")
+    record(cid, statement, True, None, {"sizes": "even 2..6, odd 1..7"})
     for n in range(1, min(N, 3) + 1):
         xs = [random_element_from(rng, 3, d) for _ in range(n)]
         ys = [random_element_from(rng, 3, d) for _ in range(n)]
@@ -438,8 +423,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
             for x, y in zip(xs, ys):
                 flat.extend((x, y))
             rhs = alt_tree_eval(ka.series, kb.series, t, tuple(flat))
-            if lhs != rhs:
-                ok, witness = False, {"tree": t, "parity": "even"}
+            record(cid, statement, lhs == rhs, {"tree": t, "parity": "even"})
     for n in range(0, min(N - 1, 3) + 1):
         xs = [random_element_from(rng, 3, d) for _ in range(n + 1)]
         ys = [random_element_from(rng, 3, d) for _ in range(n)]
@@ -451,15 +435,12 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
                 flat.extend((x, y))
             flat.append(xs[n])
             rhs = alt_tree_eval(kb.series, ka.series, t, tuple(flat))
-            if lhs != rhs:
-                ok, witness = False, {"tree": t, "parity": "odd"}
-    record("split-evaluation",
-           "on a splitting tree the mixed cumulant is the alternating "
-           "two-series evaluation",
-           ok, witness, {"sizes": "even 2..6, odd 1..7"})
+            record(cid, statement, lhs == rhs, {"tree": t, "parity": "odd"})
 
-    ok, witness = True, None
-    one = AlgebraElement.unit(d)
+    cid = "even-parity-restriction"
+    statement = ("restricting the product-moment sum to the even parity class "
+                 "changes nothing")
+    record(cid, statement, True, None, {"sizes": "2..%d" % (2 * N)})
     for n in range(1, N + 1):
         xs = [random_element_from(rng, 3, d) for _ in range(n)]
         letters = _interleave_letters(xs, [one] * n)
@@ -469,44 +450,39 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
         even = AlgebraElement.zero(d)
         for t in parity_trees(BE, 2 * n):
             even = even + mixed_tree_cumulant(t, letters, ka, kb)
-        if not (full == even == mab.series[n](*xs)):
-            ok, witness = False, {"n": n}
-    record("even-parity-restriction",
-           "restricting the product-moment sum to the even parity class "
-           "changes nothing",
-           ok, witness, {"sizes": "2..%d" % (2 * N)})
+        record(cid, statement, full == even == mab.series[n](*xs), {"n": n})
 
-    ok, witness = True, None
+    cid = "pi-partitions-even-class"
+    statement = ("the per-tree families partition the even parity class, with "
+                 "the right comb owning the doubled trees")
+    record(cid, statement, True, None, {"sizes": "n <= 4"})
     for n in range(1, min(N, 4) + 1):
-        seen = {}
+        seen = set()
         for t in enumerate_trees(n):
             for s in pi_set(t):
-                if s in seen:
-                    ok, witness = False, {"tree": s, "n": n}
-                seen[s] = t
-        if set(seen) != set(parity_trees(BE, 2 * n)):
-            ok, witness = False, {"n": n, "missing": True}
-        if pi_set(right_comb(n)) != frozenset(yb_set(n)):
-            ok, witness = False, {"n": n, "right_comb": True}
-    record("pi-partitions-even-class",
-           "the per-tree families partition the even parity class, with the "
-           "right comb owning the doubled trees",
-           ok, witness, {"sizes": "n <= 4"})
+                record(cid, statement, s not in seen, {"tree": s, "n": n})
+                seen.add(s)
+        record(cid, statement, seen == set(parity_trees(BE, 2 * n)),
+               {"n": n, "missing": True})
+        record(cid, statement, pi_set(right_comb(n)) == frozenset(yb_set(n)),
+               {"n": n, "right_comb": True})
 
-    ok, witness = True, None
+    cid = "unique-double-decomposition"
+    statement = ("each even-parity tree factors once as alternating planted "
+                 "trees and single vertices, in either interleaving")
+    record(cid, statement, True, None, {"sizes": "n <= 3"})
     for n in range(1, min(N, 3) + 1):
         for t in parity_trees(BE, 2 * n):
             for planted_first in (True, False):
                 found = _double_decompositions(t, planted_first)
-                if len(found) != 1:
-                    ok, witness = False, {"tree": t, "count": len(found),
-                                          "planted_first": planted_first}
-    record("unique-double-decomposition",
-           "each even-parity tree factors once as alternating planted trees "
-           "and single vertices, in either interleaving",
-           ok, witness, {"sizes": "n <= 3"})
+                record(cid, statement, len(found) == 1,
+                       {"tree": t, "count": len(found),
+                        "planted_first": planted_first})
 
-    ok, witness = True, None
+    cid = "per-tree-extraction"
+    statement = ("the product's tree cumulant is the sum of alternating "
+                 "evaluations over its own family")
+    record(cid, statement, True, None, {"sizes": "n <= 3"})
     for n in range(1, min(N, 3) + 1):
         xs = tuple(random_element_from(rng, 3, d) for _ in range(n))
         doubled = []
@@ -518,17 +494,9 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
             rhs = AlgebraElement.zero(d)
             for s in pi_set(t):
                 rhs = rhs + alt_tree_eval(ka.series, kb.series, s, doubled)
-            if lhs != rhs:
-                ok, witness = False, {"tree": t, "n": n}
-    record("per-tree-extraction",
-           "the product's tree cumulant is the sum of alternating "
-           "evaluations over its own family",
-           ok, witness, {"sizes": "n <= 3"})
+            record(cid, statement, lhs == rhs, {"tree": t, "n": n})
 
-    record("two-series-substitution",
-           "evaluating a tree built from planted even-parity pieces factors "
-           "through the pieces with alternating series roles",
-           *_substitution_check(rng, d))
+    _substitution_check(report, rng, d)
 
     if d >= 2:
         # the factorization leans on the absorbing shape: with a transpose
@@ -539,25 +507,24 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
         sigma = wedge(SINGLE, LEAF)
         whole = substitute(rho, [SINGLE, _planted(sigma)])
         basis = [AlgebraElement.basis(d, i) for i in range(d * d)]
-        found = False
-        for key in _cartesian(range(d * d), repeat=4):
+
+        def factors(key):
             args = tuple(basis[i] for i in key)
-            lhs = alt_tree_eval(tr, tr, whole, args)
             inner = alt_tree_eval(tr, tr, sigma, args[1:3]) * args[3]
-            rhs = alt_tree_eval(tr, tr, rho, (args[0], inner))
-            if lhs != rhs:
-                found = True
-                break
+            return (alt_tree_eval(tr, tr, whole, args)
+                    == alt_tree_eval(tr, tr, rho, (args[0], inner)))
+
         record("substitution-needs-absorption",
                "the planted factorization fails for some series without "
                "the absorbing shape",
-               found, None, {"degree_one": "transpose"})
+               not all(map(factors, _cartesian(range(d * d), repeat=4))),
+               None, {"degree_one": "transpose"})
 
     return report.finish()
 
 
-def _substitution_check(rng, d, budget=6):
-    """Exercise the planted-substitution factorization on small shapes.
+def _substitution_check(report, rng, d, budget=6):
+    """Record the planted-substitution factorization on small shapes.
 
     Both series need the absorbing shape x1 * (rest): the factorization
     reassociates products across nesting levels, which is only sound when
@@ -567,6 +534,10 @@ def _substitution_check(rng, d, budget=6):
     series are built at order `budget` and the placements walk every
     even-parity piece assignment that fits.
     """
+    cid = "two-series-substitution"
+    statement = ("evaluating a tree built from planted even-parity pieces "
+                 "factors through the pieces with alternating series roles")
+    report.record(cid, statement, True)
     order = budget
     ident = TruncSeries.identity(d, order)
 
@@ -608,10 +579,9 @@ def _substitution_check(rng, d, budget=6):
                                                [_planted(s) for s in sigmas])
                             lhs = alt_tree_eval(f, g, whole, args)
                             rhs = nested(rho, sigmas, args, roles_start_fg)
-                            if lhs != rhs:
-                                return False, {"rho": rho, "sigmas": sigmas,
-                                               "parity": parity}
-    return True, None
+                            report.record(cid, statement, lhs == rhs,
+                                          {"rho": rho, "sigmas": sigmas,
+                                           "parity": parity})
 
 
 def sab_search(N=4, d=2, trials=50, seed=0):

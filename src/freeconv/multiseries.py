@@ -713,8 +713,9 @@ class TreeTensors:
     vertex's argument is an x, the inner tensor alone when it is the unit,
     and e_k or the unit when the subtree is empty.  The slots of inner
     subtrees are memoised on (subtree, parity of its segment start, series
-    index); the trees handed to tree_sum are not.  The memo belongs to the
-    object, which one call owns.
+    index), each with the subtree's width beside it, so no tree is walked
+    for its size; the trees handed to tree_sum are not.  The memo belongs
+    to the object, which one call owns.
     """
 
     def __init__(self, d, series, x_at, freeness=False):
@@ -726,62 +727,77 @@ class TreeTensors:
         # a pattern that ignores parity needs no parity in its memo keys
         self._parity_mask = 1 if freeness or x_at[0] != x_at[1] else 0
         self._slots = {}
-        self._x_slot = (MultiMap.identity(d).table, 1)
-        self._unit_slot = ({(): [int(i % (d + 1) == 0) for i in range(dd)]}, 1)
+        self._x_slot = ((MultiMap.identity(d).table, 1), 0)
+        self._unit_slot = (({(): [int(i % (d + 1) == 0) for i in range(dd)]},
+                            1), 0)
 
     def tree_sum(self, forest, n, role=0):
         """The degree-n MultiMap summing the trees' maps at the pattern, in
         the n x's of each tree; outer spines from series[role] unless
         `freeness` decides.  The trees' tables are merged over one running
         common denominator."""
-        return _merge((self.value(t, 0, role) for t in forest), self.d, n)
+        return _merge((self.value(t, 0, role)[:2] for t in forest), self.d, n)
 
     def value(self, t, parity, role):
-        """(integer table, denominator) of the tree t whose argument segment
-        starts at `parity`, its spine from series[role] unless `freeness`
-        decides; keys run over the x's of the segment."""
+        """(integer table, denominator, width) of the tree t whose argument
+        segment starts at `parity`, its spine from series[role] unless
+        `freeness` decides; keys run over the x's of the segment.  A zero
+        table comes with width None: it zeroes every tree it sits in, so no
+        caller reads that width."""
         parts = comb_decompose(t)
-        widths = [tree_size(s) for s in parts]
         if self.freeness:
-            pos, spine = parity, set()
-            for w in widths:
-                spine.add((pos + w) & 1)
-                pos += w + 1
-            if len(spine) > 1:
-                return {}, 1
-            role, inner = spine.pop(), 0
+            inner = 0
         else:
+            spine_map = self._spine_map(role, len(parts))
+            if spine_map is None:
+                return _ZERO_VALUE
             inner = (role + 1) % len(self.series)
-        maps = self.series[role]
-        if len(parts) >= len(maps):
-            raise ValueError(f"tree needs a degree-{len(parts)} map but the "
-                             f"series stops at {len(maps) - 1}")
-        spine_map = maps[len(parts)]
-        if spine_map.is_zero():
-            return {}, 1
         slots = []
         pos = parity
-        for s, w in zip(parts, widths):
-            slot = self._slot(s, w, pos & 1, inner)
+        for s in parts:
+            slot, w = self._slot(s, pos & 1, inner)
             if not slot[0]:
-                return {}, 1
+                return _ZERO_VALUE
+            if self.freeness:
+                # the spine reads the series of its arguments' parity, and
+                # is zero as soon as they mix parities
+                if slots and (pos + w) & 1 != role:
+                    return _ZERO_VALUE
+                role = (pos + w) & 1
             slots.append(slot)
             pos += w + 1
-        return _contract(spine_map.table, spine_map.den, slots, self.d * self.d)
+        if self.freeness:
+            spine_map = self._spine_map(role, len(parts))
+            if spine_map is None:
+                return _ZERO_VALUE
+        table, den = _contract(spine_map.table, spine_map.den, slots,
+                               self.d * self.d)
+        return table, den, pos - parity
 
-    def _slot(self, s, w, parity, role):
-        """The slot filled by subtree s of width w, segment at `parity`."""
-        x_arg = self.x_at[(parity + w) & 1]
-        if not w:
-            return self._x_slot if x_arg else self._unit_slot
+    def _spine_map(self, role, k):
+        """series[role]'s degree-k map, or None when it is zero."""
+        maps = self.series[role]
+        if k >= len(maps):
+            raise ValueError(f"tree needs a degree-{k} map but the "
+                             f"series stops at {len(maps) - 1}")
+        return None if maps[k].is_zero() else maps[k]
+
+    def _slot(self, s, parity, role):
+        """((table, den), width) of the slot that subtree s fills, its
+        segment at `parity`; memoised with the width beside the slot."""
+        if not s:
+            return self._x_slot if self.x_at[parity] else self._unit_slot
         key = (s, parity & self._parity_mask, role)
-        slot = self._slots.get(key)
-        if slot is None:
-            table, den = self.value(s, parity, role)
-            if x_arg:
+        entry = self._slots.get(key)
+        if entry is None:
+            table, den, w = self.value(s, parity, role)
+            if table and self.x_at[(parity + w) & 1]:
                 table = _times_units(table, self.d)
-            slot = self._slots[key] = (table, den)
-        return slot
+            entry = self._slots[key] = ((table, den), w)
+        return entry
+
+
+_ZERO_VALUE = ({}, 1, None)
 
 
 # -- the same maps through words ---------------------------------------------------

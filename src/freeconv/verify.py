@@ -1,18 +1,28 @@
 """The report builder, the structural verification suites, and run_suite().
 
-Every suite report is built by one class, Report.  A suite records its
+Every suite report is built by one class, Report, and Report alone decides
+whether a check passed and which witness it keeps.  A suite records its
 checks by id and then calls finish(), which returns::
 
     {"suite", "checks": [{"id", "statement", "status", "params", "witness"?}],
      "seed", "order", "dim", "trials", "status", "elapsed"}
 
 A check passes until a record of its id fails; the first failure sets its
-status to "fail" and stores the witness.  The fields between "checks" and
-"status" are the ones the suite passed to Report, so
-freeprob.speicher_relation_check reports "seed", "order" and "dim" only.
-"status" is "fail" when any check failed, and "elapsed" is the only field
-that varies between runs with the same arguments.  sab_search asserts
-nothing: its one check passes and carries any hits as its witness.
+status to "fail" and stores the witness, and later records of the id change
+nothing.  compare() records a series equality, keeping the first differing
+entry (multiseries.first_difference) as the witness when the two sides
+differ.  A check that loops over many items registers its id, statement
+and params before the loop, so it keeps its place in the report and passes
+when the loop is empty, then records every item's outcome: the witness of
+a failing check is its first failing item.  A sub-check that presumes an
+earlier one (decomposing an element presumes it is a member) skips the
+items that failed it.
+
+The fields between "checks" and "status" are the ones the suite passed to
+Report, so freeprob.speicher_relation_check reports "seed", "order" and
+"dim" only.  "status" is "fail" when any check failed, and "elapsed" is the
+only field that varies between runs with the same arguments.  sab_search
+asserts nothing: its one check passes and carries any hits as its witness.
 
 The series-level suites live next to the code they exercise
 (transforms.verify_transform_identities, freeprob.verify_freeprob_identities,
@@ -26,7 +36,8 @@ import time
 from .algebra import random_element_from
 from .catalan import (FAMILIES, NAMED_BIJECTIONS, catalan_iso, family_elements,
                       get_family, named_bijection, verify_diagram)
-from .multiseries import operad_eval, random_series, tree_eval, word_action
+from .multiseries import (first_difference, operad_eval, random_series,
+                          tree_eval, word_action)
 from .partitions import enumerate_ncp, interleave, kreweras
 from .trees import enumerate_trees, rmap, tree_to_text
 
@@ -63,6 +74,13 @@ class Report:
             check["witness"] = witness
         return check
 
+    def compare(self, cid, statement, lhs, rhs, params=None):
+        """Record whether the series lhs and rhs are equal; returns the
+        check's dict.  Only a difference calls first_difference."""
+        same = lhs == rhs
+        witness = None if same else first_difference(lhs, rhs)
+        return self.record(cid, statement, same, witness, params)
+
     def finish(self):
         checks = list(self.checks.values())
         return {"suite": self.suite, "checks": checks, **self.fields,
@@ -83,123 +101,94 @@ def verify_bijection_identities(n_max=6, seed=0):
 
     for fam in sorted(FAMILIES):
         f = get_family(fam)
-        ok, witness = True, None
+        cid = f"round-trip-{fam}"
+        statement = ("levels have Catalan size and compose/decompose invert "
+                     f"each other for family {fam!r}")
+        record(cid, statement, True, None, {"n_max": n_max})
+        members = []
         for n in range(n_max + 1):
             level = family_elements(fam, n)
-            if len(level) != _catalan(n) or len(set(level)) != len(level):
-                ok, witness = False, {"n": n, "count": len(level)}
-                break
-            bad = next((x for x in level
-                        if not f.member(x) or f.size(x) != n), None)
-            if bad is not None:
-                ok, witness = False, {"n": n, "element": str(bad)}
-                break
-            if n:
-                for x in level:
-                    a, b = f.decompose(x)
-                    if f.compose(a, b) != x or f.size(a) + f.size(b) + 1 != n:
-                        ok, witness = False, {"n": n, "element": str(x)}
-                        break
-                if not ok:
-                    break
-        if ok:
-            # decompose must also invert compose pairwise, not just on the
-            # elements the enumeration happened to build
-            for k in range(n_max):
-                for l in range(n_max - k):
-                    for x in family_elements(fam, k):
-                        for y in family_elements(fam, l):
-                            if f.decompose(f.compose(x, y)) != (x, y):
-                                ok = False
-                                witness = {"left": str(x), "right": str(y)}
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        record(f"round-trip-{fam}",
-               "levels have Catalan size and compose/decompose invert "
-               f"each other for family {fam!r}",
-               ok, witness, {"n_max": n_max})
+            record(cid, statement,
+                   len(level) == _catalan(n) and len(set(level)) == len(level),
+                   {"n": n, "count": len(level)})
+            fits = [f.member(x) and f.size(x) == n for x in level]
+            for x, fit in zip(level, fits):
+                record(cid, statement, fit, {"n": n, "element": str(x)})
+            members.append([x for x, fit in zip(level, fits) if fit])
+            if not n:
+                continue  # the unit does not decompose
+            for x in members[n]:
+                a, b = f.decompose(x)
+                record(cid, statement,
+                       f.compose(a, b) == x and f.size(a) + f.size(b) + 1 == n,
+                       {"n": n, "element": str(x)})
+        # decompose must also invert compose pairwise, not just on the
+        # elements the enumeration happened to build
+        for k in range(n_max):
+            for l in range(n_max - k):
+                for x in members[k]:
+                    for y in members[l]:
+                        record(cid, statement,
+                               f.decompose(f.compose(x, y)) == (x, y),
+                               {"left": str(x), "right": str(y)})
 
     for name, (src, dst) in sorted(NAMED_BIJECTIONS.items()):
         target = get_family(dst)
-        ok, witness = True, None
+        cid = f"bijection-{name}"
+        statement = (f"{name}: {src} -> {dst} is a size-preserving "
+                     "bijection with inverse recovered through the "
+                     "composition structure")
+        record(cid, statement, True, None, {"n_max": n_max})
         for n in range(n_max + 1):
             level = family_elements(src, n)
             images = [named_bijection(name, x) for x in level]
-            bad = next((i for i, z in enumerate(images)
-                        if not target.member(z) or target.size(z) != n), None)
-            if bad is not None:
-                ok = False
-                witness = {"n": n, "input": str(level[bad]),
-                           "image": str(images[bad])}
-                break
-            if set(images) != set(family_elements(dst, n)):
-                ok, witness = False, {"n": n, "reason": "not onto the level"}
-                break
-            back = next((i for i, z in enumerate(images)
-                         if catalan_iso(dst, src, z) != level[i]), None)
-            if back is not None:
-                ok = False
-                witness = {"n": n, "input": str(level[back]),
-                           "reason": "inverse does not return"}
-                break
-        record(f"bijection-{name}",
-               f"{name}: {src} -> {dst} is a size-preserving bijection "
-               "with inverse recovered through the composition structure",
-               ok, witness, {"n_max": n_max})
+            fits = [target.member(z) and target.size(z) == n for z in images]
+            for x, z, fit in zip(level, images, fits):
+                record(cid, statement, fit,
+                       {"n": n, "input": str(x), "image": str(z)})
+            record(cid, statement, set(images) == set(family_elements(dst, n)),
+                   {"n": n, "reason": "not onto the level"})
+            for x, z, fit in zip(level, images, fits):
+                if fit:
+                    record(cid, statement, catalan_iso(dst, src, z) == x,
+                           {"n": n, "input": str(x),
+                            "reason": "inverse does not return"})
 
     for diagram_id in (1, 2, 3):
-        ok, witness, statement = True, None, ""
+        # the statement comes with the square's first level, n = 0
         for n in range(n_max + 1):
             diagram = verify_diagram(diagram_id, n)
-            statement = diagram["statement"]
-            if diagram["status"] != "pass":
-                ok, witness = False, diagram["witness"]
-                break
-        record(f"diagram-{diagram_id}", statement, ok, witness,
-               {"n_max": n_max})
+            record(f"diagram-{diagram_id}", diagram["statement"],
+                   diagram["status"] == "pass", diagram["witness"],
+                   {"n_max": n_max})
 
-    ok, witness = True, None
+    cid = "phi-rmap-interleave-image"
+    statement = "{phi(rmap(t))} == {interleave(P, K(P))} as sets at every size"
+    record(cid, statement, True, None, {"n_max": min(n_max, 5)})
     for n in range(min(n_max, 5) + 1):
         doubled = {named_bijection("phi", rmap(t)) for t in enumerate_trees(n)}
         paired = {interleave(p, kreweras(p)) for p in enumerate_ncp(n)}
-        if doubled != paired:
-            ok, witness = False, {"n": n}
-            break
-    record("phi-rmap-interleave-image",
-           "{phi(rmap(t))} == {interleave(P, K(P))} as sets at every size",
-           ok, witness, {"n_max": min(n_max, 5)})
+        record(cid, statement, doubled == paired, {"n": n})
 
-    witness = None
-    for t in enumerate_trees(2):
-        p = named_bijection("phi", t)
-        if named_bijection("phi", rmap(t)) != interleave(p, kreweras(p)):
-            witness = {"tree": tree_to_text(t)}
-            break
+    phis = [(t, named_bijection("phi", t)) for t in enumerate_trees(2)]
     record("phi-rmap-not-pointwise",
            "phi(rmap(t)) != interleave(phi(t), K(phi(t))) for some size-2 t",
-           witness is not None, None, {"n": 2})
+           any(named_bijection("phi", rmap(t)) != interleave(p, kreweras(p))
+               for t, p in phis), None, {"n": 2})
 
-    ok, witness = True, None
+    cid = "kreweras-dual-path"
+    statement = ("kreweras(P) == catalan_iso('ncp2', 'ncp1', P) and K o K "
+                 "permutes every level")
+    record(cid, statement, True, None, {"n_max": n_max})
     for n in range(n_max + 1):
         level = enumerate_ncp(n)
         for p in level:
-            if kreweras(p) != catalan_iso("ncp2", "ncp1", p):
-                ok, witness = False, {"n": n, "partition": str(p)}
-                break
-        if not ok:
-            break
-        if set(kreweras(kreweras(p)) for p in level) != set(level):
-            ok, witness = False, {"n": n, "reason": "K o K not onto"}
-            break
-    record("kreweras-dual-path",
-           "kreweras(P) == catalan_iso('ncp2', 'ncp1', P) and K o K "
-           "permutes every level",
-           ok, witness, {"n_max": n_max})
+            record(cid, statement,
+                   kreweras(p) == catalan_iso("ncp2", "ncp1", p),
+                   {"n": n, "partition": str(p)})
+        record(cid, statement,
+               set(kreweras(kreweras(p)) for p in level) == set(level),
+               {"n": n, "reason": "K o K not onto"})
 
     return report.finish()
 

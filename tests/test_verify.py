@@ -5,10 +5,13 @@ import json
 import pathlib
 import random
 
+from freeconv import freeprob
+from freeconv.catalan import FAMILIES, Family, family_elements
 from freeconv.freeprob import (CumulantSpec, moments_from_cumulants,
                                sab_search, speicher_relation_check)
-from freeconv.multiseries import random_series
-from freeconv.verify import Report, run_suite
+from freeconv.multiseries import first_difference, random_series
+from freeconv.trees import SINGLE, right_comb, size, splits, unwedge
+from freeconv.verify import Report, run_suite, verify_bijection_identities
 
 HERE = pathlib.Path(__file__).parent
 SRC = HERE.parent / "src" / "freeconv"
@@ -40,6 +43,66 @@ def test_report_fields_are_the_ones_given():
     assert set(out) == {"suite", "checks", "seed", "order", "dim", "status",
                         "elapsed"}
     assert out["status"] == "pass" and out["checks"] == []
+
+
+def test_compare_stores_the_first_difference_only_on_a_failure():
+    rng = random.Random(0)
+    a, b = (random_series(rng, 2, 2, "gi", bound=2) for _ in range(2))
+    report = Report("demo", seed=0)
+    same = report.compare("same", "a == a", a, a, {"k": 1})
+    assert same == {"id": "same", "statement": "a == a", "status": "pass",
+                    "params": {"k": 1}}
+    witness = first_difference(a, b)
+    assert witness is not None
+    differ = report.compare("differ", "a == b", a, b)
+    assert differ["status"] == "fail" and differ["witness"] == witness
+    report.compare("differ", "a == b", b, a)
+    assert differ["witness"] == witness
+    assert report.finish()["status"] == "fail"
+
+
+def _right_comb_on_the_right(x, y):
+    # not injective: every right operand of one size gives one composite
+    return (x, right_comb(size(y)))
+
+
+def test_a_failing_loop_check_keeps_its_first_failing_item(monkeypatch):
+    broken = Family("zz-broken", (), size, _right_comb_on_the_right, unwedge,
+                    lambda t: True)
+    monkeypatch.setitem(FAMILIES, broken.name, broken)
+    try:
+        report = verify_bijection_identities(n_max=4)
+    finally:
+        family_elements.cache_clear()
+    checks = {c["id"]: c for c in report["checks"]}
+    failed = [cid for cid, c in checks.items() if c["status"] == "fail"]
+    assert failed == ["round-trip-zz-broken"]
+    # levels 3 and 4 both repeat elements and some pairs do not decompose
+    # back, but the witness is the first failure: the count at level 3
+    assert checks["round-trip-zz-broken"]["witness"] == {"n": 3, "count": 5}
+    monkeypatch.undo()
+    assert "zz-broken" not in FAMILIES
+    assert run_suite("bijections", order=2)["status"] == "pass"
+
+
+def test_structural_freeprob_checks_keep_their_first_failing_tree(
+        monkeypatch):
+    # with `splits` negated every tree breaks the parity check, and the
+    # witness is the first tree tried, not the last
+    monkeypatch.setattr(freeprob, "splits", lambda t: not splits(t))
+    report = freeprob.verify_freeprob_identities(N=2, d=1, trials=1, seed=0)
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["split-iff-parity-class"]["witness"] == {"tree": SINGLE}
+    assert checks["non-split-vanishing"]["witness"] == {
+        "tree": (SINGLE, ()), "n": 1, "variant": "units"}
+
+
+def test_bijection_checks_pass_with_empty_pairwise_loops():
+    ids = [c["id"] for c in verify_bijection_identities(n_max=2)["checks"]]
+    report = verify_bijection_identities(n_max=0)
+    assert [c["id"] for c in report["checks"]] == ids
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert report["status"] == "pass"
 
 
 def test_speicher_report_has_no_trials():
@@ -75,3 +138,26 @@ def test_no_module_imports_a_private_name_from_another():
                 private = [a.name for a in node.names
                            if a.name.startswith("_")]
                 assert not private, (path.name, node.module, private)
+
+
+def _callers(node, name, scope, out):
+    """Add to `out` the (innermost) function names that mention `name`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name):
+        out.add(scope)
+    for child in ast.iter_child_nodes(node):
+        _callers(child, name, scope, out)
+
+
+def test_only_report_compare_and_the_product_command_use_first_difference():
+    # a suite builds no witness by hand: series equalities go through
+    # Report.compare, and only `freeconv product --check` diffs on its own
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        found = set()
+        _callers(ast.parse(path.read_text()), "first_difference", "<module>",
+                 found)
+        users |= {(path.name, scope) for scope in found}
+    assert users == {("verify.py", "compare"), ("cli.py", "_cmd_product")}
