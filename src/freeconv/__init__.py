@@ -5,7 +5,7 @@ package claims is checked by literal equality of tensor coefficients:
 no floats, no tolerances.
 """
 
-from .algebra import AlgebraElement, LinMap, NotInvertibleError
+from .algebra import AlgebraElement, NotInvertibleError
 from .catalan import (FAMILIES, NAMED_BIJECTIONS, catalan_compose,
                       catalan_decompose, catalan_iso, family_elements,
                       named_bijection, verify_diagram)
@@ -30,7 +30,7 @@ from .verify import (run_suite, verify_bijection_identities,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "LinMap", "NotInvertibleError",
+    "AlgebraElement", "NotInvertibleError",
     "FAMILIES", "NAMED_BIJECTIONS", "catalan_compose", "catalan_decompose",
     "catalan_iso", "family_elements", "named_bijection", "verify_diagram",
     "CumulantSpec", "MomentSpec", "cumulants_from_moments",

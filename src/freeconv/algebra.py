@@ -1,10 +1,10 @@
 """Exact linear algebra over the base algebra B = M_d(Q).
 
 Everything here is a thin, exact layer over :class:`fractions.Fraction`:
-square matrices with rational entries, their inverses, linear maps B -> B
-stored on the matrix-unit basis, and random elements drawn from a
-caller-owned generator.
-No floats anywhere.
+square matrices with rational entries, the one Gauss-Jordan inverse
+(linmap_inverse, on the rows of a square matrix; mat_inverse wraps it for
+B), and random elements drawn from a caller-owned generator.  Linear maps
+B -> B are degree-1 multiseries.MultiMaps.  No floats anywhere.
 
 The basis of B is the family of matrix units E_pq, ordered row-major, so the
 flat index of E_pq is ``p*d + q`` (0-based, range ``0..d*d-1``).
@@ -154,10 +154,17 @@ class AlgebraElement:
         return elem
 
 
-def _invert_rows(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Gauss-Jordan inverse of an exact square matrix, as a list of lists."""
+def linmap_inverse(rows: Sequence[Sequence]) -> list:
+    """Inverse of the linear map with the square matrix `rows`, by
+    Gauss-Jordan, as a list of Fraction rows.
+
+    Entries may be ints, Fractions or strings (never floats); raises
+    NotInvertibleError when the matrix is singular.
+    """
     n = len(rows)
-    a = [list(row) for row in rows]
+    a = [[as_fraction(x) for x in row] for row in rows]
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -180,7 +187,7 @@ def _invert_rows(rows: Sequence[Sequence[Fraction]]) -> list:
 
 def mat_inverse(a: AlgebraElement) -> AlgebraElement:
     """Exact inverse in M_d(Q); raises NotInvertibleError on singular input."""
-    return AlgebraElement(a.d, tuple(tuple(row) for row in _invert_rows(a.rows)))
+    return AlgebraElement(a.d, tuple(tuple(row) for row in linmap_inverse(a.rows)))
 
 
 def is_invertible(a: AlgebraElement) -> bool:
@@ -189,62 +196,6 @@ def is_invertible(a: AlgebraElement) -> bool:
     except NotInvertibleError:
         return False
     return True
-
-
-class LinMap:
-    """A Q-linear map B -> B, stored as the images of the matrix units.
-
-    ``images[j]`` is the value on the basis element with flat index j; the
-    map extends to all of B by linearity.
-    """
-
-    __slots__ = ("d", "images")
-
-    def __init__(self, d: int, images: tuple):
-        if len(images) != d * d:
-            raise ValueError("need one image per basis element")
-        self.d = d
-        self.images = tuple(images)
-
-    @classmethod
-    def identity(cls, d: int) -> "LinMap":
-        return cls(d, tuple(AlgebraElement.basis(d, j) for j in range(d * d)))
-
-    @classmethod
-    def from_function(cls, d: int, fn) -> "LinMap":
-        return cls(d, tuple(fn(AlgebraElement.basis(d, j)) for j in range(d * d)))
-
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        acc = AlgebraElement.zero(self.d)
-        for c, img in zip(x.coords(), self.images):
-            if c:
-                acc = acc + c * img
-        return acc
-
-    def matrix(self) -> list:
-        """The (d^2) x (d^2) matrix of the map on the flat basis (columns = images)."""
-        n = self.d * self.d
-        cols = [img.coords() for img in self.images]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinMap) and self.d == other.d and self.images == other.images
-
-
-def linmap_inverse(m: LinMap) -> LinMap:
-    """Inverse of a linear map B -> B; raises NotInvertibleError when singular."""
-    inv = _invert_rows(m.matrix())
-    d = m.d
-    n = d * d
-    images = []
-    for j in range(n):
-        col = [inv[i][j] for i in range(n)]
-        acc = AlgebraElement.zero(d)
-        for i, c in enumerate(col):
-            if c:
-                acc = acc + c * AlgebraElement.basis(d, i)
-        images.append(acc)
-    return LinMap(d, tuple(images))
 
 
 def random_element_from(rng: random.Random, bound: int, d: int) -> AlgebraElement:

@@ -407,12 +407,6 @@ def phi_arms(t):
     return canonical(tuple(a) for a in tr.right_arms(t))
 
 
-def mirror_tree(t):
-    if t == ():
-        return ()
-    return (mirror_tree(t[1]), mirror_tree(t[0]))
-
-
 def rotation_to_binary(p):
     """First child becomes left child, next sibling becomes right child."""
     if p == ():

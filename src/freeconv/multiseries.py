@@ -13,8 +13,10 @@ All arithmetic is exact.  A map stores one integer table over one common
 denominator, and every operation here runs on that pair: sums and scaling,
 the unit slots, products, compositions, both inverses and the tree sums.
 Fraction entries appear only where a map is built from AlgebraElement
-values (the checked MultiMap constructor) or read as them (evaluation and
-the ``tensor`` view).  Operations that mix two series of different
+values (the checked MultiMap constructor), read as them (evaluation and
+the ``tensor`` view), or inverted: MultiMap.inverse, for degree 0 and 1,
+is the one inverse behind the class tests, both series inverses and the S
+fixed point.  Operations that mix two series of different
 truncation orders are rejected at the public level; the
 ``mul_at``/``compose_at`` variants compute a requested output order and raise
 unless the inputs genuinely determine every coefficient up to it, which is
@@ -28,8 +30,8 @@ from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
 
-from .algebra import (AlgebraElement, LinMap, NotInvertibleError, as_fraction,
-                      linmap_inverse, mat_inverse, random_element_from,
+from .algebra import (AlgebraElement, NotInvertibleError, as_fraction,
+                      linmap_inverse, random_element_from,
                       random_invertible_from)
 from .trees import comb_decompose, is_leaf, size as tree_size
 
@@ -164,12 +166,30 @@ class MultiMap:
     def __repr__(self):
         return f"MultiMap(d={self.d}, n={self.n}, {len(self.table)} entries)"
 
-    def as_linmap(self):
-        if self.n != 1:
-            raise ValueError("only degree-1 maps convert to LinMap")
-        images = [self.tensor.get((i,), AlgebraElement.zero(self.d))
-                  for i in range(self.d * self.d)]
-        return LinMap(self.d, images)
+    def inverse(self):
+        """The inverse of a degree-0 map (an element of B) or of a degree-1
+        map (a linear map B -> B), as a map of the same degree.
+
+        Raises NotInvertibleError when there is none.  A degree-1 map's
+        matrix has the images of the basis as columns, so its transpose has
+        the stored vectors as rows; the rows of the transpose's inverse are
+        then the images of the inverse map.
+        """
+        d, n, den = self.d, self.n, self.den
+        zero = [0] * (d * d)
+        if n == 0:
+            vec = self.table.get((), zero)
+            inv = linmap_inverse([vec[p * d:(p + 1) * d] for p in range(d)])
+            values = {(): [x for row in inv for x in row]}
+        elif n == 1:
+            inv = linmap_inverse([self.table.get((i,), zero)
+                                  for i in range(d * d)])
+            values = {(j,): row for j, row in enumerate(inv)}
+        else:
+            raise ValueError(f"a degree-{n} map has no inverse; only degrees "
+                             "0 and 1 do")
+        return MultiMap(d, n, {key: AlgebraElement.from_coords(
+            d, tuple(den * x for x in coords)) for key, coords in values.items()})
 
     def unit_in_first_slot(self):
         """The degree-(n-1) map (x_2..x_n) -> f(1, x_2..x_n)."""
@@ -325,25 +345,22 @@ def first_difference(a, b):
 
 # -- membership predicates -------------------------------------------------------
 
-def is_ginv(f):
-    """Constant term invertible."""
-    c = f[0].tensor.get((), AlgebraElement.zero(f.d))
+def _has_inverse(m):
     try:
-        mat_inverse(c)
+        m.inverse()
     except NotInvertibleError:
         return False
     return True
+
+
+def is_ginv(f):
+    """Constant term invertible."""
+    return _has_inverse(f[0])
 
 
 def is_gdif(f):
     """Zero constant term, bijective linear term."""
-    if not f[0].is_zero() or f.N < 1:
-        return False
-    try:
-        linmap_inverse(f[1].as_linmap())
-    except NotInvertibleError:
-        return False
-    return True
+    return f[0].is_zero() and f.N >= 1 and _has_inverse(f[1])
 
 
 def is_gi(f):
@@ -379,8 +396,7 @@ def is_gi(f):
             if len(common) != d:
                 return False
             try:
-                mat_inverse(AlgebraElement(d, tuple(
-                    tuple(map(Fraction, common[q, ()])) for q in range(d))))
+                linmap_inverse([common[q, ()] for q in range(d)])
             except NotInvertibleError:
                 return False
     return True
@@ -589,13 +605,13 @@ def mult_inverse(f):
     """
     d, N = f.d, f.N
     try:
-        c0 = mat_inverse(f[0].tensor.get((), AlgebraElement.zero(d)))
+        c0 = f[0].inverse()
     except NotInvertibleError:
         raise ValueError("constant term is not invertible") from None
-    left = MultiMap.constant(-c0)
+    left = c0.scale(-1)
     scaled = [None] + [tensor_product_sum([(left, f[k])], d, k)
                        for k in range(1, N + 1)]
-    inv = [MultiMap.constant(c0)]
+    inv = [c0]
     for n in range(1, N + 1):
         inv.append(tensor_product_sum(((scaled[k], inv[n - k])
                                        for k in range(1, n + 1)), d, n))
@@ -612,13 +628,13 @@ def comp_inverse(f):
         raise ValueError("series is not compositionally invertible")
     d, N = f.d, f.N
     try:
-        l_inv = linmap_inverse(f[1].as_linmap())
+        g1 = f[1].inverse()
     except NotInvertibleError:
         raise ValueError("series is not compositionally invertible") from None
-    g1 = MultiMap(d, 1, {(i,): img for i, img in enumerate(l_inv.images)})
-    neg = {key: [-x for x in vec] for key, vec in g1.table.items()}
+    neg = g1.scale(-1)
     scaled = [None, None] + [
-        _merge([_contract(neg, g1.den, [(f[k].table, f[k].den)], d * d)], d, k)
+        _merge([_contract(neg.table, neg.den, [(f[k].table, f[k].den)],
+                          d * d)], d, k)
         for k in range(2, N + 1)]
     g = [MultiMap.zero(d, 0), g1]
     for n in range(2, N + 1):
@@ -873,13 +889,9 @@ def random_series(rng, d, N, kind, bound=3):
         maps += [random_multimap(rng, d, n, bound) for n in range(1, N + 1)]
         return TruncSeries(d, N, maps)
     if kind == "gdif":
-        while True:
+        m1 = random_multimap(rng, d, 1, bound)
+        while not _has_inverse(m1):
             m1 = random_multimap(rng, d, 1, bound)
-            try:
-                linmap_inverse(m1.as_linmap())
-                break
-            except NotInvertibleError:
-                continue
         maps = [MultiMap.zero(d, 0), m1]
         maps += [random_multimap(rng, d, n, bound) for n in range(2, N + 1)]
         return TruncSeries(d, N, maps)

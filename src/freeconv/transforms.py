@@ -12,7 +12,7 @@ series arithmetic cannot slip through.
 
 import random
 
-from .algebra import AlgebraElement, mat_inverse
+from .algebra import AlgebraElement
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, comp_inverse,
                           compose_at, is_gdif, is_gi, is_ginv, mul_at,
                           mult_inverse, random_series, tensor_product_sum)
@@ -91,23 +91,18 @@ def strip_identity(f):
                        [f[m + 1].unit_in_first_slot() for m in range(f.N)])
 
 
-def _s_via_inverse(rev):
-    """S read off the reversion rev = f^{o-1} = I.S."""
-    return strip_identity(rev)
-
-
 def _s_via_fixed_point(f):
     # S solves S = (F o (I.S))^{-1}: degree m of the right-hand side only
     # involves S below degree m, so the coefficients peel off one at a time:
     # S_m = -sum_{k<m} S_k (x) (T_{m-k} T_0^{-1}) with T = F o (I.S_{<m}).
     d = f.d
     F = strip_identity(f)
-    smaps = [MultiMap.constant(mat_inverse(F[0].tensor[()]))]
+    smaps = [F[0].inverse()]
     for m in range(1, f.N):
         part = TruncSeries(d, m - 1, smaps)
         inner = mul_at(TruncSeries.identity(d, m), part, m)
         comp = compose_at(F, inner, m)
-        right = MultiMap.constant(-mat_inverse(comp[0].tensor[()]))
+        right = comp[0].inverse().scale(-1)
         t_maps = [None] + [tensor_product_sum([(comp[j], right)], d, j)
                            for j in range(1, m + 1)]
         smaps.append(tensor_product_sum(
@@ -116,8 +111,9 @@ def _s_via_fixed_point(f):
 
 
 def _s_both_ways(f, rev):
-    """S from the reversion rev of f and by the fixed point; they must agree."""
-    a = _s_via_inverse(rev)
+    """S read off the reversion rev = f^{o-1} = I.S and by the fixed point;
+    they must agree."""
+    a = strip_identity(rev)
     b = _s_via_fixed_point(f)
     if a != b:
         raise ArithmeticError("the two S-transform computations disagree")

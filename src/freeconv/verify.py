@@ -21,8 +21,9 @@ items that failed it.
 The fields between "checks" and "status" are the ones the suite passed to
 Report, so freeprob.speicher_relation_check reports "seed", "order" and
 "dim" only.  "status" is "fail" when any check failed, and "elapsed" is the
-only field that varies between runs with the same arguments.  sab_search
-asserts nothing: its one check passes and carries any hits as its witness.
+only field that varies between runs with the same arguments.  A check
+that asserts nothing, like sab_search's scan, goes through note(): it
+passes and carries any hits as its witness.
 
 The series-level suites live next to the code they exercise
 (transforms.verify_transform_identities, freeprob.verify_freeprob_identities,
@@ -71,6 +72,15 @@ class Report:
                                              "params": params or {}})
         if not ok and check["status"] == "pass":
             check["status"] = "fail"
+            check["witness"] = witness
+        return check
+
+    def note(self, cid, statement, witness, params=None):
+        """Record check `cid`, which asserts nothing: it passes, and keeps
+        `witness` only when the witness is non-empty.  Returns the check's
+        dict."""
+        check = self.record(cid, statement, True, None, params)
+        if witness:
             check["witness"] = witness
         return check
 

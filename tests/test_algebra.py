@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from freeconv.algebra import (AlgebraElement, LinMap, NotInvertibleError,
+from freeconv.algebra import (AlgebraElement, NotInvertibleError,
                               is_invertible, linmap_inverse, mat_inverse,
                               random_element_from, random_invertible_from)
 
@@ -111,23 +111,32 @@ def test_mul_distributes_over_add(xs, ys):
     assert (a + b) * c == a * c + b * c
 
 
-def test_linmap_identity_and_inverse():
-    ident = LinMap.identity(2)
-    a = AlgebraElement.from_rows([[5, 1], [2, 3]])
-    assert ident(a) == a
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
 
-    m = LinMap.from_function(2, lambda x: AlgebraElement.from_rows(
-        [[2, 0], [0, 1]]) * x)
+
+def test_linmap_identity_and_inverse():
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert linmap_inverse(ident) == ident
+    # int rows come back as Fractions, not as the floats a bare / would give
+    m = [[2, 0, 0, 1], [0, 3, 0, 0], [1, 0, 1, 0], [0, 0, 0, 5]]
     inv = linmap_inverse(m)
-    assert inv(m(a)) == a
-    assert m(inv(a)) == a
+    assert all(type(x) is Fraction for row in inv for x in row)
+    assert inv[1][1] == Fraction(1, 3)
+    assert _matmul(m, inv) == ident and _matmul(inv, m) == ident
+    with pytest.raises(TypeError):
+        linmap_inverse([[2.0, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        linmap_inverse([[1, 0, 0], [0, 1, 0]])
 
 
 def test_linmap_inverse_rejects_rank_deficient():
-    proj = LinMap.from_function(2, lambda x: AlgebraElement.from_rows(
-        [[1, 0], [0, 0]]) * x)
+    # the third row is the sum of the first two
     with pytest.raises(NotInvertibleError):
-        linmap_inverse(proj)
+        linmap_inverse([[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+    with pytest.raises(NotInvertibleError):
+        linmap_inverse([[0, 0], [0, 0]])
 
 
 def test_random_invertible_is_invertible():

@@ -5,7 +5,9 @@ Every map stores an integer table over one least common denominator, and
 and the S fixed-point step run on that pair.  The oracles here are the
 series layer as it was before: sums, scaling, unit slots, products and
 inverses entry by entry on ``AlgebraElement`` values, and composition
-merged into ``Fraction`` entries term by term.
+merged into ``Fraction`` entries term by term.  ``MultiMap.inverse`` is
+checked against the unit and the identity, and a linear term's inverse
+against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
 """
 
 import json
@@ -16,8 +18,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv.algebra import (AlgebraElement, NotInvertibleError,
-                              linmap_inverse, mat_inverse)
+from freeconv.algebra import AlgebraElement, NotInvertibleError, mat_inverse
 from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
                                   comp_inverse, compose_at, is_gi, mul_at,
                                   mult_inverse, random_series,
@@ -159,9 +160,22 @@ def _mult_inverse(f):
     return TruncSeries(d, N, inv)
 
 
+def _linear_inverse(m):
+    """The inverse of the degree-1 map m as a function on B, through the
+    d^2 x d^2 matrix of m taken as an element of M_{d^2}(Q): its columns are
+    the coordinates of the images of the basis."""
+    d, dd = m.d, m.d * m.d
+    cols = [m.tensor.get((i,), AlgebraElement.zero(d)).coords()
+            for i in range(dd)]
+    inv = mat_inverse(AlgebraElement.from_rows(
+        [[cols[j][i] for j in range(dd)] for i in range(dd)]))
+    return lambda x: AlgebraElement.from_coords(d, tuple(
+        sum(c * y for c, y in zip(row, x.coords())) for row in inv.rows))
+
+
 def _comp_inverse(f):
     d, N = f.d, f.N
-    l_inv = linmap_inverse(f[1].as_linmap())
+    l_inv = _linear_inverse(f[1])
     g = [MultiMap.zero(d, 0),
          MultiMap(d, 1, {(i,): l_inv(AlgebraElement.basis(d, i))
                          for i in range(d * d)})]
@@ -219,7 +233,7 @@ def test_series_kernel_matches_the_fraction_entry_oracles(kind, shape, seed):
         assert mult_inverse(f) == _mult_inverse(f)
     if f[0].is_zero():
         try:
-            linmap_inverse(f[1].as_linmap())
+            _linear_inverse(f[1])
         except NotInvertibleError:
             with pytest.raises(ValueError):
                 comp_inverse(f)
@@ -248,6 +262,37 @@ def test_sums_scaling_and_unit_slots_match_the_fraction_entry_oracles(
         if n:
             assert a.unit_in_first_slot() == _unit_in_slot(a, 0)
             assert a.unit_in_last_slot() == _unit_in_slot(a, n - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 16))
+def test_multimap_inverse_on_degrees_zero_and_one(d, seed):
+    rng = random.Random(seed)
+    unit = TruncSeries.constant(AlgebraElement.unit(d), 0)
+    c = random_series(rng, d, 0, "ginv")
+    c_inv = TruncSeries(d, 0, [c[0].inverse()])
+    assert mul_at(c, c_inv, 0) == unit == mul_at(c_inv, c, 0)
+
+    f = random_series(rng, d, 1, "gdif")
+    g1 = f[1].inverse()
+    g = TruncSeries(d, 1, [MultiMap.zero(d, 0), g1])
+    ident = TruncSeries.identity(d, 1)
+    assert compose_at(f, g, 1) == ident == compose_at(g, f, 1)
+    l_inv = _linear_inverse(f[1])
+    assert g1 == MultiMap(d, 1, {(i,): l_inv(AlgebraElement.basis(d, i))
+                                 for i in range(d * d)})
+
+    # a zero first row, or a zero image of the first basis element, is singular
+    rows = list(c[0].tensor[()].rows)
+    rows[0] = (0,) * d
+    with pytest.raises(NotInvertibleError):
+        MultiMap.constant(AlgebraElement.from_rows(rows)).inverse()
+    with pytest.raises(NotInvertibleError):
+        MultiMap(d, 1, {key: val for key, val in f[1].tensor.items()
+                        if key != (0,)}).inverse()
+    with pytest.raises(ValueError) as err:
+        random_series(rng, d, 2, "mult")[2].inverse()
+    assert not isinstance(err.value, NotInvertibleError)
 
 
 def test_cancelling_sums_reduce_the_denominator():

@@ -114,6 +114,18 @@ def test_speicher_report_has_no_trials():
                for c in report["checks"])
 
 
+def test_note_passes_and_keeps_only_a_non_empty_witness():
+    report = Report("demo", seed=0)
+    hit = report.note("scan", "finds things", [{"trial": 3}], {"k": 1})
+    assert hit == {"id": "scan", "statement": "finds things",
+                   "status": "pass", "params": {"k": 1},
+                   "witness": [{"trial": 3}]}
+    empty = report.note("quiet", "finds nothing", [])
+    assert empty == {"id": "quiet", "statement": "finds nothing",
+                     "status": "pass", "params": {}}
+    assert report.finish()["status"] == "pass"
+
+
 def test_sab_search_keeps_its_report_shape():
     report = sab_search(N=3, d=1, trials=2, seed=0)
     assert set(report) == SUITE_KEYS
@@ -161,3 +173,44 @@ def test_only_report_compare_and_the_product_command_use_first_difference():
                  found)
         users |= {(path.name, scope) for scope in found}
     assert users == {("verify.py", "compare"), ("cli.py", "_cmd_product")}
+
+
+def _owners(node, match, scope, in_def, out):
+    """Add to `out` the top-level function or method (as Class.method)
+    around each node for which match(node) holds; nested defs count as
+    their enclosing one."""
+    if isinstance(node, ast.ClassDef) or (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not in_def):
+        scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        in_def = not isinstance(node, ast.ClassDef)
+    if match(node):
+        out.add(scope)
+    for child in ast.iter_child_nodes(node):
+        _owners(child, match, scope, in_def, out)
+
+
+def _users(match, skip=()):
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in skip:
+            found = set()
+            _owners(ast.parse(path.read_text()), match, "<module>", False,
+                    found)
+            users |= {(path.name, scope) for scope in found}
+    return users
+
+
+def test_kernel_code_reads_no_fraction_entries_and_inverts_in_one_place():
+    # the Fraction view of a map is for output only, and every inverse of a
+    # degree-0 or degree-1 map goes through MultiMap.inverse; is_gi hands
+    # its integer rows to the Gauss-Jordan itself
+    assert _users(lambda n: isinstance(n, ast.Attribute)
+                  and n.attr == "tensor") == {
+        ("multiseries.py", "TruncSeries.to_json"),
+        ("multiseries.py", "first_difference")}
+    inverses = {"mat_inverse", "linmap_inverse"}
+    assert _users(lambda n: isinstance(n, ast.Name) and n.id in inverses
+                  or isinstance(n, ast.Attribute) and n.attr in inverses,
+                  skip={"algebra.py"}) == {
+        ("multiseries.py", "MultiMap.inverse"), ("multiseries.py", "is_gi")}
