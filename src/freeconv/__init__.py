@@ -9,8 +9,9 @@ from .algebra import AlgebraElement, NotInvertibleError
 from .catalan import (FAMILIES, NAMED_BIJECTIONS, catalan_compose,
                       catalan_decompose, catalan_iso, family_elements,
                       named_bijection, verify_diagram)
-from .freeprob import (CumulantSpec, MomentSpec, cumulants_from_moments,
-                       mixed_tree_cumulant, moments_from_cumulants,
+from .freeprob import (CumulantSpec, MomentSpec, cumulants_by_trees,
+                       cumulants_from_moments, mixed_tree_cumulant,
+                       moments_by_trees, moments_from_cumulants,
                        product_cumulants, product_cumulants_oracle,
                        product_moments_oracle, sab_search,
                        speicher_relation_check, verify_freeprob_identities)
@@ -19,8 +20,9 @@ from .multiseries import (MultiMap, TruncSeries, alt_tree_eval, comp_inverse,
                           mult_inverse, operad_eval, random_series,
                           series_compose, series_mul, tree_eval, word_action)
 from .partitions import enumerate_ncp, interleave, kreweras, merge_op
-from .transforms import (boxconv, s_prime, s_transform, strip_identity,
-                         u_transform, verify_transform_identities)
+from .transforms import (boxconv, boxconv_by_trees, s_prime, s_transform,
+                         strip_identity, u_transform,
+                         verify_transform_identities)
 from .trees import (classify, comb_decompose, enumerate_trees, parity_trees,
                     pi_set, rmap, splits, tree_from_text, tree_to_text,
                     unwedge, wedge, yb_set)
@@ -33,8 +35,9 @@ __all__ = [
     "AlgebraElement", "NotInvertibleError",
     "FAMILIES", "NAMED_BIJECTIONS", "catalan_compose", "catalan_decompose",
     "catalan_iso", "family_elements", "named_bijection", "verify_diagram",
-    "CumulantSpec", "MomentSpec", "cumulants_from_moments",
-    "mixed_tree_cumulant", "moments_from_cumulants", "product_cumulants",
+    "CumulantSpec", "MomentSpec", "cumulants_by_trees",
+    "cumulants_from_moments", "mixed_tree_cumulant", "moments_by_trees",
+    "moments_from_cumulants", "product_cumulants",
     "product_cumulants_oracle", "product_moments_oracle", "sab_search",
     "speicher_relation_check", "verify_freeprob_identities",
     "MultiMap", "TruncSeries", "alt_tree_eval", "comp_inverse", "compose_at",
@@ -42,7 +45,8 @@ __all__ = [
     "random_series", "series_compose", "series_mul", "tree_eval",
     "word_action",
     "enumerate_ncp", "interleave", "kreweras", "merge_op",
-    "boxconv", "s_prime", "s_transform", "strip_identity", "u_transform",
+    "boxconv", "boxconv_by_trees", "s_prime", "s_transform",
+    "strip_identity", "u_transform",
     "verify_transform_identities",
     "classify", "comb_decompose", "enumerate_trees", "parity_trees",
     "pi_set", "rmap", "splits", "tree_from_text", "tree_to_text", "unwedge",

@@ -10,12 +10,16 @@ from first principles and to cross-check the boxed convolution, the
 S/U-transform product formulas, and the tree-combinatorial structure behind
 them.
 
-The conversions and the product oracle are sums over every tree, each tree
-evaluated from its definition, but they run at the tensor level:
+The moments are defined as a sum over every tree of the tree cumulants.
+``moments_by_trees``, ``cumulants_by_trees`` and the product oracle compute
+such sums, each tree evaluated from its definition, at the tensor level:
 ``multiseries.TreeTensors`` builds each subtree's value once as a
 multilinear map in the free arguments under it, rather than once per basis
 tuple.  ``mixed_tree_cumulant`` and ``alt_tree_eval`` remain the
-single-point definitions that the tensors are tested against.
+single-point definitions that the tensors are tested against.  The
+conversions used everywhere else, ``moments_from_cumulants`` and
+``cumulants_from_moments``, compute the same series degree by degree from
+m = k o ((1 + m).I) and walk no tree; the tree sums are their oracles.
 """
 
 import random
@@ -23,7 +27,8 @@ from itertools import product as _cartesian
 
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, alt_tree_eval,
-                          comp_inverse, compose_at, is_gi, mul_at,
+                          comp_inverse, compose_at, cumulants_by_recursion,
+                          is_gi, moments_by_recursion, mul_at,
                           random_multimap, random_series, tree_eval)
 from .transforms import (boxconv, s_prime, s_transform, strip_identity,
                          u_transform)
@@ -78,22 +83,41 @@ MomentSpec = CumulantSpec
 
 
 def moments_from_cumulants(k):
-    """Sum the tree cumulants: m_n = sum over all n-vertex trees of k_t.
+    """The moment series of the cumulant series k.
 
-    The sum runs over every tree, each evaluated from its definition, at
-    the tensor level: TreeTensors builds each subtree's k_t once as a
-    multilinear map in its arguments, instead of per basis tuple.
+    moments_by_trees defines it, m_n = sum over all n-vertex trees of k_t;
+    this computes it degree by degree as m = k o ((1 + m).I)
+    (multiseries.moments_by_recursion), with no tree walked.
     """
-    ser = k.series
-    d, N = ser.d, ser.N
-    sums = TreeTensors(d, (ser.maps,), (True, True))
-    maps = [MultiMap.zero(d, 0)]
-    maps += [sums.tree_sum(enumerate_trees(n), n) for n in range(1, N + 1)]
-    return MomentSpec(TruncSeries(d, N, maps))
+    return MomentSpec(moments_by_recursion(k.series))
 
 
 def cumulants_from_moments(m):
-    """Invert the tree-sum degree by degree.
+    """The cumulant series with moment series m, the inverse of
+    moments_from_cumulants.
+
+    Degree n of k o ((1 + m).I) reads k_n only through k_n(x_1, ..., x_n),
+    so k_n is m_n minus the same composition over the cumulants below
+    degree n (multiseries.cumulants_by_recursion); cumulants_by_trees is the
+    tree-sum definition.
+    """
+    return CumulantSpec(cumulants_by_recursion(m.series))
+
+
+def moments_by_trees(k):
+    """Sum the tree cumulants: m_n = sum over all n-vertex trees of k_t.
+
+    The oracle for moments_from_cumulants.  The sum runs over every tree,
+    each evaluated from its definition, at the tensor level: TreeTensors
+    builds each subtree's k_t once as a multilinear map in its arguments,
+    instead of per basis tuple.
+    """
+    return MomentSpec(_tree_moments(k.series))
+
+
+def cumulants_by_trees(m):
+    """Invert the tree sum degree by degree: the oracle for
+    cumulants_from_moments.
 
     At degree n the right comb is the only tree whose evaluation touches
     k_n; every other tree combines cumulants of degree < n, so subtracting
@@ -102,7 +126,21 @@ def cumulants_from_moments(m):
     carries over from degree to degree, since a subtree of size < n reads
     only cumulants that are already fixed.
     """
-    ser = m.series
+    return CumulantSpec(_tree_cumulants(m.series))
+
+
+# The two tree sums on bare series, so that tests can try series outside
+# the I.F shape as well.
+
+def _tree_moments(ser):
+    d, N = ser.d, ser.N
+    sums = TreeTensors(d, (ser.maps,), (True, True))
+    maps = [MultiMap.zero(d, 0)]
+    maps += [sums.tree_sum(enumerate_trees(n), n) for n in range(1, N + 1)]
+    return TruncSeries(d, N, maps)
+
+
+def _tree_cumulants(ser):
     d, N = ser.d, ser.N
     kmaps = [MultiMap.zero(d, 0)]
     if N >= 1:
@@ -112,7 +150,7 @@ def cumulants_from_moments(m):
         comb_n = right_comb(n)
         others = sums.tree_sum((t for t in enumerate_trees(n) if t != comb_n), n)
         kmaps.append(ser[n] + others.scale(-1))
-    return CumulantSpec(TruncSeries(d, N, kmaps))
+    return TruncSeries(d, N, kmaps)
 
 
 def speicher_relation_check(k, m):
@@ -224,8 +262,9 @@ def product_moments_oracle(ka, kb, order=None):
 
 
 def product_cumulants_oracle(ka, kb, order=None):
-    """Cumulant series of ab for free a, b, via moments and back."""
-    return cumulants_from_moments(product_moments_oracle(ka, kb, order))
+    """Cumulant series of ab for free a, b, via moments and back: tree sums
+    both ways."""
+    return cumulants_by_trees(product_moments_oracle(ka, kb, order))
 
 
 def product_cumulants(ka, kb, order=None):
@@ -311,7 +350,9 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
         params = {"trial": trial}
         ka = CumulantSpec(random_series(rng, d, N, "gi", bound=2))
         kb = CumulantSpec(random_series(rng, d, N, "gi", bound=2))
-        ma = moments_from_cumulants(ka)
+        # tree-sum moments, so the round trip checks the cumulant recursion
+        # against the tree sum
+        ma = moments_by_trees(ka)
 
         record("moment-cumulant-round-trip",
                "cumulants_from_moments(moments_from_cumulants(k)) == k",

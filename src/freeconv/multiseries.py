@@ -11,7 +11,9 @@ constant.  The three groups of interest:
 
 All arithmetic is exact.  A map stores one integer table over one common
 denominator, and every operation here runs on that pair: sums and scaling,
-the unit slots, products, compositions, both inverses and the tree sums.
+the unit slots, products, compositions, both inverses, the tree sums and
+the degree-by-degree recursions that compute the same series as the tree
+sums of the boxed convolutions and the moments.
 Fraction entries appear only where a map is built from AlgebraElement
 values (the checked MultiMap constructor), read as them (evaluation and
 the ``tensor`` view), or inverted: MultiMap.inverse, for degree 0 and 1,
@@ -814,6 +816,97 @@ class TreeTensors:
 
 
 _ZERO_VALUE = ({}, 1, None)
+
+
+# -- the same sums degree by degree --------------------------------------------
+#
+# The tree sums define the boxed convolutions and the moment series, but
+# each also satisfies a composition identity whose degree n reads only
+# lower degrees of its own output (Dykema's multilinear function series).
+# With Q = redred.I and P = (1 + m).I, so that P_1 = I and
+# P_j(x_1..x_j) = m_{j-1}(x_1..x_{j-1}) x_j:
+#
+#   red_n  = sum f_{r+1}(x, Q_{m_1}, ..., Q_{m_r})  over 1 + m_1 + ... + m_r = n
+#   redred = strip_identity(g) o red,  redred_0 = g_1(1)
+#   m_n    = sum k_j(P_{m_1}, ..., P_{m_j})          over m_1 + ... + m_j = n
+#
+# red_n reads redred only below degree n - 1 and m_n reads m only below
+# degree n, so each output grows one degree per step on the integer kernel:
+# one _contract per composition, no tree walked.
+
+
+def _times_x(m):
+    """The degree-(n+1) map (x_1..x_n, x) -> m(x_1..x_n) x of a degree-n
+    map; it moves the entries without changing them, so `den` stays the
+    least common denominator."""
+    return MultiMap._of(m.d, m.n + 1, _times_units(m.table, m.d), m.den)
+
+
+def _red_and_redred(f, g, red_order, redred_order):
+    """red(f, g) through red_order and redred(f, g) through redred_order,
+    as lists of maps, for red_order - 2 <= redred_order <= red_order: red_n
+    needs redred through degree n - 2, and redred_n needs red through n."""
+    d = f.d
+    x = (MultiMap.identity(d).table, 1)
+    strip = [None] + [g[m + 1].unit_in_first_slot()
+                      for m in range(1, redred_order + 1)]
+    red = [MultiMap.zero(d, 0), f[1]]
+    redred = [MultiMap.constant(g[1](AlgebraElement.unit(d)))]
+    q = [None]  # q[m] = (table, den) of Q_m
+    for n in range(1, red_order + 1):
+        if n >= 2:
+            qm = _times_x(redred[n - 2])
+            q.append((qm.table, qm.den))
+            red.append(_merge(
+                (_contract(f[r + 1].table, f[r + 1].den,
+                           [x] + [q[m] for m in comp], d * d)
+                 for r in range(1, n) if not f[r + 1].is_zero()
+                 for comp in _compositions(n - 1, r)
+                 if all(q[m][0] for m in comp)), d, n))
+        if n <= redred_order:
+            redred.append(_composition_degree(strip, red, 1, n, d))
+    return red[:red_order + 1], redred
+
+
+def red_by_recursion(f, g, order):
+    """red(f, g) through `order`, degree by degree; boxconv("red", f, g)
+    returns it, and boxconv_by_trees is its tree-sum definition."""
+    red, _ = _red_and_redred(f, g, order, order - 2)
+    return TruncSeries(f.d, order, red)
+
+
+def redred_by_recursion(f, g, order):
+    """redred(f, g) through `order`, degree by degree, with redred_0 =
+    g_1(1)."""
+    _, redred = _red_and_redred(f, g, order, order)
+    return TruncSeries(f.d, order, redred)
+
+
+def moments_by_recursion(k):
+    """The moment series m of the cumulant series k: m_n is the degree-n
+    part of k o P over the moments found so far, P_1 = I.  The tree sum
+    m_n = sum over n-vertex trees t of k_t defines it."""
+    d = k.d
+    m = [MultiMap.zero(d, 0)]
+    p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
+    for n in range(1, k.N + 1):
+        if n >= 2:
+            p.append(_times_x(m[n - 1]))
+        m.append(_composition_degree(k.maps, p, 1, n, d))
+    return TruncSeries(d, k.N, m)
+
+
+def cumulants_by_recursion(m):
+    """The cumulant series k with moments m, inverting moments_by_recursion
+    degree by degree: k_n(P_1, ..., P_1) is the one term of (k o P)_n that
+    reads k_n, so k_n = m_n minus that composition over k below degree n."""
+    d = m.d
+    p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
+    p += [_times_x(m[j - 1]) for j in range(2, m.N + 1)]
+    k = [MultiMap.zero(d, 0)]
+    for n in range(1, m.N + 1):
+        k.append(m[n] + _composition_degree(k, p, 1, n, d).scale(-1))
+    return TruncSeries(d, m.N, k)
 
 
 # -- the same maps through words ---------------------------------------------------

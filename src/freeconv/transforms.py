@@ -3,11 +3,14 @@
 Four convolution products on truncated series are defined by summing the
 two-series tree evaluations over doubled trees R(tau), with unit elements
 interleaved between the genuine arguments in a pattern that depends on the
-variant.  The S-transform of f = I.F is the series S with f^{o-1} = I.S; the
-U-transform is S^{-1}.I.S; the primed transform inverts F.I instead.  Each
-transform is computed along two or three independent routes and the results
-are compared before anything is returned, so a silent regression in the
-series arithmetic cannot slip through.
+variant.  boxconv_by_trees computes that definition and is kept as the
+oracle; boxconv computes the same series degree by degree from the
+composition identities box = g o red and redred = strip_identity(g) o red,
+which walk no tree.  The S-transform of f = I.F is the series S with
+f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
+F.I instead.  Each transform is computed along two or three independent
+routes and the results are compared before anything is returned, so a
+silent regression in the series arithmetic cannot slip through.
 """
 
 import random
@@ -15,7 +18,8 @@ import random
 from .algebra import AlgebraElement
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, comp_inverse,
                           compose_at, is_gdif, is_gi, is_ginv, mul_at,
-                          mult_inverse, random_series, tensor_product_sum)
+                          mult_inverse, random_series, red_by_recursion,
+                          redred_by_recursion, tensor_product_sum)
 from .trees import enumerate_trees, rmap
 from .verify import Report
 
@@ -34,8 +38,47 @@ _PATTERNS = {"box": ((True, False), 1), "line": ((False, True), 1),
              "red": ((True, False), 0), "redred": ((False, True), 1)}
 
 
+def _check_pair(variant, f, g):
+    if variant not in BOX_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if f.d != g.d or f.N != g.N:
+        raise ValueError("series must share dimension and truncation order")
+    if f.N < 1:
+        raise ValueError("convolution needs at least order 1")
+
+
 def boxconv(variant, f, g):
     """One of the four boxed convolutions of f and g.
+
+    boxconv_by_trees defines them as tree sums; this computes the same
+    series degree by degree, on the composition identities behind them
+    (multiseries.red_by_recursion):
+
+    variant   computed as                            degree 0
+    box       g o red(f, g)                          g_0
+    line      g o (redred(g, f).I)                   g_0
+    red       f_{r+1}(x, Q_{m_1}, ..., Q_{m_r})      0
+    redred    strip_identity(g) o red(f, g)          g_1(1)
+
+    with Q = redred(f, g).I.  Degree n of 'redred' reads g at degree n+1,
+    so its output is truncated one order lower than the inputs.  Each
+    variant computes only the degrees of red and redred that it reads.
+    """
+    _check_pair(variant, f, g)
+    N = f.N
+    if variant == "red":
+        return red_by_recursion(f, g, N)
+    if variant == "redred":
+        return redred_by_recursion(f, g, N - 1)
+    if variant == "box":
+        return compose_at(g, red_by_recursion(f, g, N), N)
+    inner = mul_at(redred_by_recursion(g, f, N - 1),
+                   TruncSeries.identity(f.d, N), N)
+    return compose_at(g, inner, N)
+
+
+def boxconv_by_trees(variant, f, g):
+    """The boxed convolution as its defining tree sum: the oracle for boxconv.
 
     variant   trees          argument pattern         degree 0
     box       R(tau)         x1,1,x2,1,...,xn,1       g_0
@@ -44,21 +87,13 @@ def boxconv(variant, f, g):
     redred    (|,R(tau))     1,x1,1,x2,...,xn,1       g_1(1)
 
     For 'red' the tree sum at degree n runs over Y_{n-1} and the two series
-    swap roles inside the evaluation.  Degree n of 'redred' reads g at degree
-    n+1, so its output is truncated one order lower than the inputs.
-
-    Degree n is the sum of (f u g)_t over the forest, every tree evaluated
-    from its definition, but at the tensor level: TreeTensors builds each
-    subtree's value once as a multilinear map in the x's under it, instead
-    of evaluating each tree at each basis tuple.
+    swap roles inside the evaluation.  Degree n is the sum of (f u g)_t over
+    the forest, every tree evaluated from its definition, but at the tensor
+    level: TreeTensors builds each subtree's value once as a multilinear map
+    in the x's under it, instead of evaluating each tree at each basis tuple.
     """
-    if variant not in BOX_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if f.d != g.d or f.N != g.N:
-        raise ValueError("series must share dimension and truncation order")
+    _check_pair(variant, f, g)
     d, N = f.d, f.N
-    if N < 1:
-        raise ValueError("convolution needs at least order 1")
     order = N - 1 if variant == "redred" else N
     if variant == "red":
         out = [MultiMap.zero(d, 0)]
@@ -191,34 +226,32 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
         q = random_series(rng, d, N, "mult", bound=2)
         ident = TruncSeries.identity(d, N)
 
-        # composition factorizations hold for arbitrary zero-constant pairs
+        # composition factorizations hold for arbitrary zero-constant pairs;
+        # box and line are the tree sums, red and redred the recursion, so
+        # neither side is computed from the other
         for tag, (a, b) in (("general", (p, q)), ("absorbing", (f, g))):
-            box = boxconv("box", a, b)
+            box = boxconv_by_trees("box", a, b)
             red = boxconv("red", a, b)
             compare(f"box-compose-{tag}", "box(f,g) == compose(g, red(f,g))",
                     box, compose_at(b, red, N), params)
-            line = boxconv("line", b, a)
+            line = boxconv_by_trees("line", b, a)
             redred = boxconv("redred", a, b)
             compare(f"line-compose-{tag}",
                     "line(g,f) == compose(f, redred(f,g)*I)",
                     line, compose_at(a, mul_at(redred, ident, N), N), params)
 
-        box = boxconv("box", f, g)
-        red = boxconv("red", f, g)
-        redred = boxconv("redred", f, g)
-        line_gf = boxconv("line", g, f)
-
+        # the absorbing pass left box, red, redred and line(g,f) of (f, g)
         compare("box-mult-split",
                 "box(f,g) == red(f,g) * redred(f,g) on I.Mult",
                 box, mul_at(red, redred, N), params)
         compare("line-mult-split",
                 "line(g,f) == redred(f,g) * red(f,g) on I.Mult",
-                line_gf, mul_at(redred, red, N), params)
+                line, mul_at(redred, red, N), params)
 
         report.record("box-class", "box and red stay in I.Mult; redred "
                       "invertible; line compositionally invertible",
                       is_gi(box) and is_gi(red) and is_ginv(redred)
-                      and is_gdif(line_gf), None, params)
+                      and is_gdif(line), None, params)
 
         s_box = s_transform(box)
         s_f, s_g = s_transform(f), s_transform(g)

@@ -9,12 +9,14 @@ checks by id and then calls finish(), which returns::
 
 A check passes until a record of its id fails; the first failure sets its
 status to "fail" and stores the witness, and later records of the id change
-nothing.  compare() records a series equality, keeping the first differing
-entry (multiseries.first_difference) as the witness when the two sides
-differ.  A check that loops over many items registers its id, statement
-and params before the loop, so it keeps its place in the report and passes
-when the loop is empty, then records every item's outcome: the witness of
-a failing check is its first failing item.  A sub-check that presumes an
+nothing.  A witness given as a function of no arguments is called only
+then, so a loop over many items builds no witness while they pass.
+compare() records a series equality, keeping the first differing entry
+(multiseries.first_difference) as the witness when the two sides differ.
+A check that loops over many items registers its id, statement and params
+before the loop, so it keeps its place in the report and passes when the
+loop is empty, then records every item's outcome: the witness of a
+failing check is its first failing item.  A sub-check that presumes an
 earlier one (decomposing an element presumes it is a member) skips the
 items that failed it.
 
@@ -65,14 +67,19 @@ class Report:
     def record(self, cid, statement, ok, witness=None, params=None):
         """Record one outcome of check `cid`; returns the check's dict.
 
-        The first record of an id fixes its statement and params.
+        The first record of an id fixes its statement and params.  A
+        callable witness is called only when its record is the check's
+        first failure, so a loop can hand one to every item and build
+        nothing while the items pass.
         """
-        check = self.checks.setdefault(cid, {"id": cid, "statement": statement,
-                                             "status": "pass",
-                                             "params": params or {}})
+        check = self.checks.get(cid)
+        if check is None:
+            check = self.checks[cid] = {"id": cid, "statement": statement,
+                                        "status": "pass",
+                                        "params": params or {}}
         if not ok and check["status"] == "pass":
             check["status"] = "fail"
-            check["witness"] = witness
+            check["witness"] = witness() if callable(witness) else witness
         return check
 
     def note(self, cid, statement, witness, params=None):
@@ -123,7 +130,8 @@ def verify_bijection_identities(n_max=6, seed=0):
                    {"n": n, "count": len(level)})
             fits = [f.member(x) and f.size(x) == n for x in level]
             for x, fit in zip(level, fits):
-                record(cid, statement, fit, {"n": n, "element": str(x)})
+                record(cid, statement, fit,
+                       lambda: {"n": n, "element": str(x)})
             members.append([x for x, fit in zip(level, fits) if fit])
             if not n:
                 continue  # the unit does not decompose
@@ -131,7 +139,7 @@ def verify_bijection_identities(n_max=6, seed=0):
                 a, b = f.decompose(x)
                 record(cid, statement,
                        f.compose(a, b) == x and f.size(a) + f.size(b) + 1 == n,
-                       {"n": n, "element": str(x)})
+                       lambda: {"n": n, "element": str(x)})
         # decompose must also invert compose pairwise, not just on the
         # elements the enumeration happened to build
         for k in range(n_max):
@@ -140,7 +148,7 @@ def verify_bijection_identities(n_max=6, seed=0):
                     for y in members[l]:
                         record(cid, statement,
                                f.decompose(f.compose(x, y)) == (x, y),
-                               {"left": str(x), "right": str(y)})
+                               lambda: {"left": str(x), "right": str(y)})
 
     for name, (src, dst) in sorted(NAMED_BIJECTIONS.items()):
         target = get_family(dst)
@@ -155,14 +163,14 @@ def verify_bijection_identities(n_max=6, seed=0):
             fits = [target.member(z) and target.size(z) == n for z in images]
             for x, z, fit in zip(level, images, fits):
                 record(cid, statement, fit,
-                       {"n": n, "input": str(x), "image": str(z)})
+                       lambda: {"n": n, "input": str(x), "image": str(z)})
             record(cid, statement, set(images) == set(family_elements(dst, n)),
                    {"n": n, "reason": "not onto the level"})
             for x, z, fit in zip(level, images, fits):
                 if fit:
                     record(cid, statement, catalan_iso(dst, src, z) == x,
-                           {"n": n, "input": str(x),
-                            "reason": "inverse does not return"})
+                           lambda: {"n": n, "input": str(x),
+                                    "reason": "inverse does not return"})
 
     for diagram_id in (1, 2, 3):
         # the statement comes with the square's first level, n = 0
@@ -195,7 +203,7 @@ def verify_bijection_identities(n_max=6, seed=0):
         for p in level:
             record(cid, statement,
                    kreweras(p) == catalan_iso("ncp2", "ncp1", p),
-                   {"n": n, "partition": str(p)})
+                   lambda: {"n": n, "partition": str(p)})
         record(cid, statement,
                set(kreweras(kreweras(p)) for p in level) == set(level),
                {"n": n, "reason": "K o K not onto"})

@@ -14,7 +14,7 @@ from freeconv.multiseries import (MultiMap, TreeTensors, TruncSeries,
                                   is_ginv, mul_at, mult_inverse, operad_eval,
                                   random_series, series_compose, series_mul,
                                   tree_eval, word_action, word_of_tree)
-from freeconv.freeprob import CumulantSpec, moments_from_cumulants
+from freeconv.freeprob import CumulantSpec, moments_by_trees
 from freeconv.trees import enumerate_trees, right_comb, rmap, size as tree_size
 
 D, N = 2, 3
@@ -468,12 +468,13 @@ def test_alt_tree_eval_rejects_a_memo():
 
 
 def test_tree_sums_of_fresh_series_use_their_own_values():
-    # each call builds its own tree tensors; a memo keyed on object ids and
-    # shared between calls would hand a freed series' values on
+    # each call of a tree-sum oracle builds its own tree tensors; a memo
+    # keyed on object ids and shared between calls would hand a freed
+    # series' values on
     one = AlgebraElement.unit(1)
     for seed in range(200):
         f = random_series(random.Random(seed), 1, 3, "gi", bound=3)
-        moments = moments_from_cumulants(CumulantSpec(f)).series
+        moments = moments_by_trees(CumulantSpec(f)).series
         for n in range(1, 4):
             args = (one,) * n
             expected = sum((alt_tree_eval(f, f, t, args)

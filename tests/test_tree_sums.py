@@ -1,8 +1,12 @@
-"""Tensor-level tree sums against their single-point definitions.
+"""Tree sums against their single-point definitions, and the recursions
+against the tree sums.
 
 ``TreeTensors`` evaluates each tree once as a multilinear map; the oracles
 here evaluate every tree at every basis tuple with ``alt_tree_eval`` and
-``mixed_tree_cumulant``, the way the tree sums were first written.
+``mixed_tree_cumulant``, the way the tree sums were first written.  The
+production ``boxconv`` and moment-cumulant conversions compute degree by
+degree instead, and must equal the tree sums (``boxconv_by_trees``,
+``moments_by_trees``, ``cumulants_by_trees``) exactly.
 """
 
 import random
@@ -13,12 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv.algebra import AlgebraElement, random_element_from
 from freeconv.freeprob import (CumulantSpec, MomentSpec, _mixed,
-                               cumulants_from_moments, mixed_tree_cumulant,
+                               _tree_cumulants, _tree_moments,
+                               cumulants_by_trees, cumulants_from_moments,
+                               mixed_tree_cumulant, moments_by_trees,
                                moments_from_cumulants, product_moments_oracle)
 from freeconv.multiseries import (MultiMap, TreeTensors, TruncSeries,
-                                  alt_tree_eval, random_series)
+                                  alt_tree_eval, cumulants_by_recursion,
+                                  moments_by_recursion, random_series)
 from freeconv.transforms import (BOX_VARIANTS, _PATTERNS, _doubled_forest,
-                                 boxconv)
+                                 boxconv, boxconv_by_trees)
 from freeconv.trees import comb_decompose, enumerate_trees, right_comb, size
 
 _SHAPES = [(d, order) for d in (1, 2, 3) for order in range(1, 5)
@@ -215,7 +222,47 @@ def test_tree_tensors_reject_a_spine_longer_than_the_series():
         alt_tree_eval(f, f, right_comb(3), (AlgebraElement.unit(2),) * 3)
 
 
-# -- whole functions against the oracles ----------------------------------------
+# -- the recursions against the tree sums ----------------------------------------
+
+
+_KINDS = ("gi", "mult", "ginv", "gdif", "zero")
+
+
+def _series(rng, d, order, kind):
+    if kind == "zero":
+        return TruncSeries.zero(d, order)
+    return random_series(rng, d, order, kind, bound=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+       shape=st.sampled_from(_SHAPES),
+       seed=st.integers(0, 2 ** 16))
+def test_boxconv_equals_its_tree_sum(kinds, shape, seed):
+    d, order = shape
+    rng = random.Random(seed)
+    f, g = (_series(rng, d, order, kind) for kind in kinds)
+    for variant in BOX_VARIANTS:
+        assert boxconv(variant, f, g) == boxconv_by_trees(variant, f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(_KINDS),
+       shape=st.sampled_from(_SHAPES),
+       seed=st.integers(0, 2 ** 16))
+def test_conversions_equal_their_tree_sums(kind, shape, seed):
+    # on bare series, so the kinds outside the I.F shape are tried too
+    d, order = shape
+    s = _series(random.Random(seed), d, order, kind)
+    assert moments_by_recursion(s) == _tree_moments(s)
+    assert cumulants_by_recursion(s) == _tree_cumulants(s)
+    if kind == "gi":
+        spec = CumulantSpec(s)
+        assert moments_from_cumulants(spec) == moments_by_trees(spec)
+        assert cumulants_from_moments(spec) == cumulants_by_trees(spec)
+
+
+# -- whole functions against the per-key oracles ---------------------------------
 
 
 @pytest.mark.parametrize("d,order", [(1, 5), (2, 3), (3, 2)])
@@ -225,7 +272,9 @@ def test_boxconv_matches_the_per_key_sum(d, order, kind):
     f = random_series(rng, d, order, kind, bound=2)
     g = random_series(rng, d, order, kind, bound=2)
     for variant in BOX_VARIANTS:
-        assert boxconv(variant, f, g) == _boxconv_by_keys(variant, f, g)
+        expected = _boxconv_by_keys(variant, f, g)
+        assert boxconv(variant, f, g) == expected
+        assert boxconv_by_trees(variant, f, g) == expected
 
 
 @pytest.mark.parametrize("d,order", [(1, 6), (2, 3), (3, 2)])
@@ -233,8 +282,9 @@ def test_conversions_match_the_per_key_sums(d, order):
     rng = random.Random(f"conv-{d}-{order}")
     k = CumulantSpec(random_series(rng, d, order, "gi", bound=2))
     m = CumulantSpec(random_series(rng, d, order, "gi", bound=2))
-    assert moments_from_cumulants(k) == _moments_by_keys(k)
-    assert cumulants_from_moments(m) == _cumulants_by_keys(m)
+    moments, cumulants = _moments_by_keys(k), _cumulants_by_keys(m)
+    assert moments_from_cumulants(k) == moments == moments_by_trees(k)
+    assert cumulants_from_moments(m) == cumulants == cumulants_by_trees(m)
 
 
 @pytest.mark.parametrize("d,order", [(1, 4), (2, 2), (3, 2)])

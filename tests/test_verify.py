@@ -38,6 +38,21 @@ def test_report_keeps_the_first_failure():
          "params": {}}]
 
 
+def test_a_callable_witness_is_built_only_for_the_first_failure():
+    built = []
+
+    def witness(tag):
+        return lambda: built.append(tag) or {"item": tag}
+
+    report = Report("demo", seed=0)
+    report.record("a", "holds for every item", True, None, {"k": 1})
+    report.record("a", "holds for every item", True, witness("passing"))
+    check = report.record("a", "holds for every item", False, witness("first"))
+    report.record("a", "holds for every item", False, witness("second"))
+    assert built == ["first"]
+    assert check["witness"] == {"item": "first"}
+
+
 def test_report_fields_are_the_ones_given():
     out = Report("demo", seed=None, order=3, dim=2).finish()
     assert set(out) == {"suite", "checks", "seed", "order", "dim", "status",
