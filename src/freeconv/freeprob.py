@@ -564,7 +564,11 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
     return report.finish()
 
 
-def _substitution_check(report, rng, d, budget=6):
+# the order of the substitution check's series, and its largest tree
+_SUB_ORDER = 6
+
+
+def _substitution_check(report, rng, d):
     """Record the planted-substitution factorization on small shapes.
 
     Both series need the absorbing shape x1 * (rest): the factorization
@@ -572,20 +576,19 @@ def _substitution_check(report, rng, d, budget=6):
     every map hands its first argument straight through (the paired
     negative check shows it genuinely failing without that).  The
     substituted trees can have spines as long as their total size, so the
-    series are built at order `budget` and the placements walk every
+    series are built at order _SUB_ORDER and the placements walk every
     even-parity piece assignment that fits.
     """
     cid = "two-series-substitution"
     statement = ("evaluating a tree built from planted even-parity pieces "
                  "factors through the pieces with alternating series roles")
     report.record(cid, statement, True)
-    order = budget
-    ident = TruncSeries.identity(d, order)
+    ident = TruncSeries.identity(d, _SUB_ORDER)
 
     def absorbing():
-        h = TruncSeries(d, order, [random_multimap(rng, d, n, bound=1)
-                                   for n in range(order + 1)])
-        return mul_at(ident, h, order)
+        h = TruncSeries(d, _SUB_ORDER, [random_multimap(rng, d, n, bound=1)
+                                        for n in range(_SUB_ORDER + 1)])
+        return mul_at(ident, h, _SUB_ORDER)
 
     f = absorbing()
     g = absorbing()
@@ -609,7 +612,7 @@ def _substitution_check(report, rng, d, budget=6):
         for rho_size in (1, 2, 3, 4):
             for rho in parity_trees(parity, rho_size):
                 slots = rho_size
-                for sigma_total in range(0, budget - slots + 1, 2):
+                for sigma_total in range(0, _SUB_ORDER - slots + 1, 2):
                     for sizes in _even_compositions(sigma_total, slots):
                         total = sigma_total + slots
                         pools = [parity_trees(BE, s) for s in sizes]

@@ -11,19 +11,20 @@ constant.  The three groups of interest:
 
 All arithmetic is exact.  A map stores one integer table over one common
 denominator, and every operation here runs on that pair: sums and scaling,
-the unit slots, products, compositions, both inverses, the tree sums and
-the degree-by-degree recursions that compute the same series as the tree
-sums of the boxed convolutions and the moments.
-Fraction entries appear only where a map is built from AlgebraElement
-values (the checked MultiMap constructor), read as them (evaluation and
-the ``tensor`` view), or inverted: MultiMap.inverse, for degree 0 and 1,
-is the one inverse behind the class tests, both series inverses and the S
-fixed point.  Operations that mix two series of different
-truncation orders are rejected at the public level; the
-``mul_at``/``compose_at`` variants compute a requested output order and raise
-unless the inputs genuinely determine every coefficient up to it, which is
-what the transform identities rely on (a factor with zero constant term
-raises the usable order of the other factor).
+the unit slots, evaluation, products, compositions, both inverses, the tree
+sums and the degree-by-degree recursions that compute the same series as
+the tree sums of the boxed convolutions and the moments.  Evaluation at
+algebra elements is the contraction of composition, against one degree-0
+map per argument.  Fraction entries cross into a map through _to_ints (the
+checked constructor, evaluation's arguments and the inverse) and out of it
+through _to_element (evaluation's value and the ``tensor`` view).
+MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
+tests, both series inverses and the S fixed point.  Operations that mix
+two series of different truncation orders are rejected at the public
+level; the ``mul_at``/``compose_at`` variants compute a requested output
+order and raise unless the inputs genuinely determine every coefficient up
+to it, which is what the transform identities rely on (a factor with zero
+constant term raises the usable order of the other factor).
 """
 
 from fractions import Fraction
@@ -52,18 +53,13 @@ class MultiMap:
 
     def __init__(self, d, n, tensor):
         """The map with the values {key: AlgebraElement}, checked."""
-        values = {}
         for key, val in tensor.items():
             if len(key) != n or not all(0 <= i < d * d for i in key):
                 raise ValueError(f"bad index {key!r} for a degree-{n} map")
             if val.d != d:
                 raise ValueError("value dimension mismatch")
-            if not val.is_zero():
-                values[key] = val.coords()
-        den = lcm(*(c.denominator for coords in values.values() for c in coords))
-        _fill(self, d, n, {key: [c.numerator * (den // c.denominator)
-                                 for c in coords]
-                           for key, coords in values.items()}, den)
+        _fill(self, d, n, *_to_ints({key: val.coords()
+                                     for key, val in tensor.items()}))
 
     @classmethod
     def _of(cls, d, n, table, den):
@@ -79,10 +75,8 @@ class MultiMap:
         """{key: AlgebraElement}, read-only, built on first read."""
         view = self._tensor
         if view is None:
-            d, den = self.d, self.den
-            view = MappingProxyType({key: AlgebraElement.from_coords(
-                d, tuple(Fraction(x, den) if x else 0 for x in vec))
-                for key, vec in self.table.items()})
+            view = MappingProxyType({key: _to_element(self.d, vec, self.den)
+                                     for key, vec in self.table.items()})
             object.__setattr__(self, "_tensor", view)
         return view
 
@@ -113,32 +107,14 @@ class MultiMap:
         return cls(d, n, tensor)
 
     def __call__(self, *args):
-        """Multilinear evaluation at arbitrary algebra elements."""
+        """Multilinear evaluation at arbitrary algebra elements: f_n
+        contracted against n degree-0 maps, one per argument."""
         if len(args) != self.n:
             raise ValueError(f"degree-{self.n} map called with {len(args)} arguments")
-        coords = [a.coords() for a in args]
-        acc = None
-        for key, vec in self.table.items():
-            # c must be a Fraction: vec holds ints and acc is divided by den
-            c = coords[0][key[0]] if key else Fraction(1)
-            for j in range(1, len(key)):
-                if not c:
-                    break
-                c = c * coords[j][key[j]]
-            if not c:
-                continue
-            if acc is None:
-                acc = [c * x for x in vec]
-            else:
-                for t, x in enumerate(vec):
-                    if x:
-                        acc[t] += c * x
-        if acc is None:
-            return AlgebraElement.zero(self.d)
-        den = self.den
-        if den != 1:
-            acc = [x / den for x in acc]
-        return AlgebraElement.from_coords(self.d, tuple(acc))
+        dd = self.d * self.d
+        table, den = _contract(self.table, self.den,
+                               [_to_ints({(): a.coords()}) for a in args], dd)
+        return _to_element(self.d, table.get((), (0,) * dd), den)
 
     def __add__(self, other):
         if (self.d, self.n) != (other.d, other.n):
@@ -190,8 +166,8 @@ class MultiMap:
         else:
             raise ValueError(f"a degree-{n} map has no inverse; only degrees "
                              "0 and 1 do")
-        return MultiMap(d, n, {key: AlgebraElement.from_coords(
-            d, tuple(den * x for x in coords)) for key, coords in values.items()})
+        return MultiMap._of(d, n, *_to_ints(
+            {key: [den * x for x in coords] for key, coords in values.items()}))
 
     def unit_in_first_slot(self):
         """The degree-(n-1) map (x_2..x_n) -> f(1, x_2..x_n)."""
@@ -214,6 +190,22 @@ class MultiMap:
         return _merge(((table, self.den) for table in diagonal), d, self.n - 1)
 
 
+def _to_ints(values):
+    """(integer table, den) of {key: rational coordinates}: zero vectors
+    dropped and den the least common denominator, as a MultiMap stores
+    them."""
+    values = {key: coords for key, coords in values.items() if any(coords)}
+    den = lcm(*(c.denominator for coords in values.values() for c in coords))
+    return {key: [c.numerator * (den // c.denominator) for c in coords]
+            for key, coords in values.items()}, den
+
+
+def _to_element(d, vec, den):
+    """The AlgebraElement vec / den; a zero coordinate is the int 0."""
+    return AlgebraElement.from_coords(
+        d, tuple(Fraction(x, den) if x else 0 for x in vec))
+
+
 def _fill(m, d, n, table, den):
     for name, value in (("d", d), ("n", n), ("table", table), ("den", den),
                         ("_tensor", None)):
@@ -227,6 +219,8 @@ class TruncSeries:
     __slots__ = ("d", "N", "maps")
 
     def __init__(self, d, N, maps):
+        if N < 0:
+            raise ValueError(f"a series has order N >= 0, not {N}")
         maps = tuple(maps)
         if len(maps) != N + 1:
             raise ValueError(f"expected {N + 1} maps, got {len(maps)}")

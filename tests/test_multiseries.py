@@ -113,6 +113,15 @@ def test_truncate_only_shrinks():
         f.truncate(N + 2)
 
 
+def test_a_series_order_is_never_negative():
+    with pytest.raises(ValueError, match="order N >= 0, not -1"):
+        TruncSeries(D, -1, [])
+    f = random_series(random.Random(0), D, N, "mult")
+    with pytest.raises(ValueError, match="order N >= 0, not -1"):
+        f.truncate(-1)
+    assert f.truncate(0) == TruncSeries(D, 0, [f[0]])
+
+
 def test_json_round_trip():
     f = random_series(random.Random(1), D, N, "ginv")
     assert TruncSeries.from_json(f.to_json()) == f

@@ -1,13 +1,14 @@
 """The integer series kernel against the Fraction-entry series arithmetic.
 
 Every map stores an integer table over one least common denominator, and
-``+``, ``scale``, the unit slots, ``mul_at``, ``compose_at``, both inverses
-and the S fixed-point step run on that pair.  The oracles here are the
-series layer as it was before: sums, scaling, unit slots, products and
-inverses entry by entry on ``AlgebraElement`` values, and composition
-merged into ``Fraction`` entries term by term.  ``MultiMap.inverse`` is
-checked against the unit and the identity, and a linear term's inverse
-against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
+``+``, ``scale``, the unit slots, evaluation, ``mul_at``, ``compose_at``,
+both inverses and the S fixed-point step run on that pair.  The oracles
+here are the series layer as it was before: sums, scaling, unit slots,
+products and inverses entry by entry on ``AlgebraElement`` values,
+composition merged into ``Fraction`` entries term by term, and evaluation
+at algebra elements accumulated in ``Fraction`` arithmetic.
+``MultiMap.inverse`` is checked against the unit and the identity, and a
+linear term's inverse against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
 """
 
 import json
@@ -18,7 +19,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv.algebra import AlgebraElement, NotInvertibleError, mat_inverse
+from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
+                              random_element_from)
 from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
                                   comp_inverse, compose_at, is_gi, mul_at,
                                   mult_inverse, random_series,
@@ -201,6 +203,33 @@ def _s_fixed_point(f):
     return TruncSeries(d, f.N - 1, smaps)
 
 
+# MultiMap.__call__ as it ran before evaluation became a contraction: the
+# integer table multiplied and accumulated in Fraction arithmetic
+
+def _evaluate(m, args):
+    if len(args) != m.n:
+        raise ValueError(f"degree-{m.n} map called with {len(args)} arguments")
+    coords = [a.coords() for a in args]
+    acc = None
+    for key, vec in m.table.items():
+        c = Fraction(1)
+        for j, i in enumerate(key):
+            c *= coords[j][i]
+            if not c:
+                break
+        if not c:
+            continue
+        if acc is None:
+            acc = [c * x for x in vec]
+        else:
+            for t, x in enumerate(vec):
+                if x:
+                    acc[t] += c * x
+    if acc is None:
+        return AlgebraElement.zero(m.d)
+    return AlgebraElement.from_coords(m.d, tuple(x / m.den for x in acc))
+
+
 # -- the kernel against the oracles ------------------------------------------------
 
 
@@ -293,6 +322,50 @@ def test_multimap_inverse_on_degrees_zero_and_one(d, seed):
     with pytest.raises(ValueError) as err:
         random_series(rng, d, 2, "mult")[2].inverse()
     assert not isinstance(err.value, NotInvertibleError)
+
+
+def _argument(rng, d):
+    """The zero element, the unit, a matrix unit or a random element."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return AlgebraElement.zero(d)
+    if pick == 1:
+        return AlgebraElement.unit(d)
+    if pick == 2:
+        return AlgebraElement.basis(d, rng.randrange(d * d))
+    return random_element_from(rng, 4, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["ginv", "gdif", "gi", "mult"]),
+       d=st.sampled_from([1, 2, 3]), n=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_evaluation_matches_the_fraction_loop(kind, d, n, seed):
+    rng = random.Random(seed)
+    f = random_series(rng, d, max(n, 1), kind)
+    for m in f.maps[:n + 1]:
+        args = [_argument(rng, d) for _ in range(m.n)]
+        value, oracle = m(*args), _evaluate(m, args)
+        assert value == oracle and hash(value) == hash(oracle)
+        assert value.to_json() == oracle.to_json()
+
+
+def test_evaluation_of_the_zero_map_and_its_argument_count():
+    rng = random.Random(5)
+    for d in (1, 2, 3):
+        for n in range(4):
+            args = [random_element_from(rng, 4, d) for _ in range(n)]
+            value = MultiMap.zero(d, n)(*args)
+            assert value == AlgebraElement.zero(d) == _evaluate(
+                MultiMap.zero(d, n), args)
+            assert value.is_zero()
+    f = random_series(rng, 2, 3, "mult")
+    for m, count in ((f[2], 1), (f[0], 2), (f[3], 4)):
+        args = [AlgebraElement.unit(2)] * count
+        with pytest.raises(ValueError) as err:
+            m(*args)
+        assert str(err.value) == (f"degree-{m.n} map called with {count} "
+                                  "arguments")
 
 
 def test_cancelling_sums_reduce_the_denominator():

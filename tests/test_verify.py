@@ -229,3 +229,24 @@ def test_kernel_code_reads_no_fraction_entries_and_inverts_in_one_place():
                   or isinstance(n, ast.Attribute) and n.attr in inverses,
                   skip={"algebra.py"}) == {
         ("multiseries.py", "MultiMap.inverse"), ("multiseries.py", "is_gi")}
+
+
+def test_a_map_crosses_to_fraction_entries_through_one_pair_of_helpers():
+    # evaluation is a contraction on the integer kernel: outside algebra.py
+    # only _to_element builds a Fraction, and an element's coordinates are
+    # read only where they go straight into _to_ints
+    assert _users(lambda n: isinstance(n, ast.Name) and n.id == "Fraction",
+                  skip={"algebra.py"}) == {("multiseries.py", "_to_element")}
+    assert _users(lambda n: isinstance(n, ast.Attribute)
+                  and n.attr == "coords", skip={"algebra.py"}) == {
+        ("multiseries.py", "MultiMap.__init__"),
+        ("multiseries.py", "MultiMap.__call__")}
+    assert _users(lambda n: isinstance(n, ast.Name)
+                  and n.id == "_to_ints") == {
+        ("multiseries.py", "MultiMap.__init__"),
+        ("multiseries.py", "MultiMap.__call__"),
+        ("multiseries.py", "MultiMap.inverse")}
+    assert _users(lambda n: isinstance(n, ast.Name)
+                  and n.id == "_to_element") == {
+        ("multiseries.py", "MultiMap.tensor"),
+        ("multiseries.py", "MultiMap.__call__")}
