@@ -148,10 +148,23 @@ class AlgebraElement:
     def from_json(cls, obj) -> "AlgebraElement":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        elem = cls.from_rows(obj["entries"])
-        if elem.d != obj["d"]:
+        rows = json_field(obj, "entries", list, "an algebra element")
+        if not all(isinstance(row, list) and all(isinstance(x, (int, str))
+                                                 for x in row) for row in rows):
+            raise ValueError("an algebra element's 'entries' must be rows of "
+                             "integers or rational strings")
+        elem = cls.from_rows(rows)
+        if elem.d != json_field(obj, "d", int, "an algebra element"):
             raise ValueError("declared dimension does not match entries")
         return elem
+
+
+def json_field(obj, key: str, kind: type, what: str):
+    """obj[key] of parsed JSON, or a ValueError unless it is a `kind`."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
+        raise ValueError(f"{what} needs a JSON object with a field {key!r} "
+                         f"of type {kind.__name__}")
+    return obj[key]
 
 
 def linmap_inverse(rows: Sequence[Sequence]) -> list:

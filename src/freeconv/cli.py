@@ -155,24 +155,20 @@ def _cmd_transform(args):
 
 
 def _cmd_cumulants(args):
-    with open(args.moments) as fh:
-        m = MomentSpec.from_json(json.load(fh))
+    m = MomentSpec(_load_series(args.moments))
     _emit(cumulants_from_moments(m).to_json())
     return 0
 
 
 def _cmd_moments(args):
-    with open(args.cumulants) as fh:
-        k = CumulantSpec.from_json(json.load(fh))
+    k = CumulantSpec(_load_series(args.cumulants))
     _emit(moments_from_cumulants(k).to_json())
     return 0
 
 
 def _cmd_product(args):
-    with open(args.ka) as fh:
-        ka = CumulantSpec.from_json(json.load(fh))
-    with open(args.kb) as fh:
-        kb = CumulantSpec.from_json(json.load(fh))
+    ka = CumulantSpec(_load_series(args.ka))
+    kb = CumulantSpec(_load_series(args.kb))
     kab = product_cumulants(ka, kb, args.order)
     if not args.check:
         _emit(kab.to_json())

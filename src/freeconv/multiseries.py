@@ -19,7 +19,7 @@ map per argument.  Fraction entries cross into a map through _to_ints (the
 checked constructor, evaluation's arguments and the inverse) and out of it
 through _to_element (evaluation's value and the ``tensor`` view).
 MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
-tests, both series inverses and the S fixed point.  Operations that mix
+tests and both series inverses.  Operations that mix
 two series of different truncation orders are rejected at the public
 level; the ``mul_at``/``compose_at`` variants compute a requested output
 order and raise unless the inputs genuinely determine every coefficient up
@@ -34,7 +34,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .algebra import (AlgebraElement, NotInvertibleError, as_fraction,
-                      linmap_inverse, random_element_from,
+                      json_field, linmap_inverse, random_element_from,
                       random_invertible_from)
 from .trees import comb_decompose, is_leaf, size as tree_size
 
@@ -300,25 +300,24 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, obj):
-        d, N = obj["d"], obj["N"]
+        d = json_field(obj, "d", int, "a series")
+        N = json_field(obj, "N", int, "a series")
         maps = []
-        for n, rec in enumerate(obj["maps"]):
-            if rec.get("n") != n:
+        for n, rec in enumerate(json_field(obj, "maps", list, "a series")):
+            what = f"the series map at degree {n}"
+            if json_field(rec, "n", int, what) != n:
                 raise ValueError(f"maps out of order at degree {n}")
-            if n == 0:
-                maps.append(MultiMap.constant(AlgebraElement.from_json(rec["value"])))
-                continue
-            tensor = {}
-            def unpack(node, prefix):
-                if len(prefix) == n:
-                    tensor[prefix] = AlgebraElement.from_json(node)
-                    return
-                if len(node) != d * d:
-                    raise ValueError("tensor arity mismatch")
-                for i, sub in enumerate(node):
-                    unpack(sub, prefix + (i,))
-            unpack(rec["tensor"], ())
-            maps.append(MultiMap(d, n, tensor))
+            # degree 0 is one 'value'; degree n nests n levels of d^2 lists
+            level = [((), rec.get("tensor" if n else "value"))]
+            for _ in range(n):
+                if any(not isinstance(node, list) or len(node) != d * d
+                       for _, node in level):
+                    raise ValueError(f"{what} needs a 'tensor' of lists of "
+                                     f"d^2 = {d * d} entries, {n} deep")
+                level = [(key + (i,), sub) for key, node in level
+                         for i, sub in enumerate(node)]
+            maps.append(MultiMap(d, n, {key: AlgebraElement.from_json(leaf)
+                                        for key, leaf in level}))
         return cls(d, N, maps)
 
 

@@ -187,6 +187,10 @@ def partition_to_json(p):
 
 
 def partition_from_json(obj):
+    if not (isinstance(obj, list) and all(
+            isinstance(b, list) and all(type(x) is int for x in b) for b in obj)):
+        raise ValueError("a partition must be a list of blocks, each a list "
+                         "of integers")
     p = canonical(obj)
     if not is_partition(p):
         raise ValueError("blocks must partition {1..n}")

@@ -127,6 +127,50 @@ def series_files(tmp_path):
     return paths
 
 
+def _malformed_series(kind):
+    obj = random_series(random.Random(7), 1, 1, "gi").to_json()
+    if kind == "maps-hold-an-int":
+        obj["maps"] = [5]
+    elif kind == "tensor-holds-an-int":
+        obj["maps"][1]["tensor"] = [5]
+    elif kind == "file-is-a-list":
+        obj = [1, 2]
+    else:
+        obj["maps"][1]["tensor"][0]["entries"] = [[float(kind)]]
+    return obj
+
+
+def _exits_three_with_one_error_line(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["maps-hold-an-int", "tensor-holds-an-int",
+                                  "file-is-a-list", "0.5", "1.5"])
+def test_malformed_series_file_exits_three(capsys, tmp_path, kind):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(random_series(random.Random(7), 1, 1,
+                                             "gi").to_json()))
+    bad.write_text(json.dumps(_malformed_series(kind)))
+    good, bad = str(good), str(bad)
+    for argv in (("stransform", "--f", bad), ("utransform", "--f", bad),
+                 ("sprime", "--f", bad),
+                 ("convolve", "--variant", "box", "--f", good, "--g", bad),
+                 ("moments", "--cumulants", bad), ("cumulants", "--moments", bad),
+                 ("product", "--ka", bad, "--kb", good),
+                 ("product", "--ka", good, "--kb", bad)):
+        _exits_three_with_one_error_line(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [("kreweras", "--input", "5"),
+                                  ("map", "--from", "ncp1", "--to", "y",
+                                   "--input", "5")],
+                         ids=["kreweras", "map-from-ncp1"])
+def test_malformed_partition_exits_three(capsys, argv):
+    _exits_three_with_one_error_line(capsys, *argv)
+
+
 def test_convolve_and_transform_emit_valid_series(capsys, series_files):
     code, out, _ = run(capsys, "convolve", "--variant", "box",
                        "--f", series_files["ka"], "--g", series_files["kb"])

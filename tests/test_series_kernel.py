@@ -2,11 +2,12 @@
 
 Every map stores an integer table over one least common denominator, and
 ``+``, ``scale``, the unit slots, evaluation, ``mul_at``, ``compose_at``,
-both inverses and the S fixed-point step run on that pair.  The oracles
-here are the series layer as it was before: sums, scaling, unit slots,
-products and inverses entry by entry on ``AlgebraElement`` values,
-composition merged into ``Fraction`` entries term by term, and evaluation
-at algebra elements accumulated in ``Fraction`` arithmetic.
+both inverses and the S-transform run on that pair.  The oracles here are
+the series layer as it was before: sums, scaling, unit slots, products and
+inverses entry by entry on ``AlgebraElement`` values, composition merged
+into ``Fraction`` entries term by term, the S fixed point solved degree by
+degree, and evaluation at algebra elements accumulated in ``Fraction``
+arithmetic.
 ``MultiMap.inverse`` is checked against the unit and the identity, and a
 linear term's inverse against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
 """
@@ -25,7 +26,7 @@ from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
                                   comp_inverse, compose_at, is_gi, mul_at,
                                   mult_inverse, random_series,
                                   tensor_product_sum)
-from freeconv.transforms import _s_via_fixed_point, boxconv, strip_identity
+from freeconv.transforms import boxconv, s_transform, strip_identity
 import freeconv.transforms as transforms
 
 _SHAPES = [(d, order) for d in (1, 2, 3) for order in range(1, 5)
@@ -269,7 +270,7 @@ def test_series_kernel_matches_the_fraction_entry_oracles(kind, shape, seed):
         else:
             assert comp_inverse(f) == _comp_inverse(f)
     if kind == "gi" and order >= 2:
-        assert _s_via_fixed_point(f) == _s_fixed_point(f)
+        assert s_transform(f) == _s_fixed_point(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,7 +396,7 @@ def _kernel_outputs(rng, kind, d, order):
     if kind == "gdif":
         out.append(comp_inverse(f))
     if kind == "gi" and order >= 2:
-        out.append(_s_via_fixed_point(f))
+        out.append(s_transform(f))
     return out
 
 
@@ -424,7 +425,7 @@ def test_zero_coordinates_are_the_int_zero():
         # compose_at hands on the constant term of its outer series
         outputs = [mul_at(f, g, 3).maps, mul_at(h, g, 3).maps,
                    mult_inverse(h).maps, comp_inverse(f).maps,
-                   _s_via_fixed_point(f).maps, compose_at(h, f, 3).maps[1:]]
+                   s_transform(f).maps, compose_at(h, f, 3).maps[1:]]
         zeros = 0
         for maps in outputs:
             for m in maps:
@@ -449,3 +450,24 @@ def test_u_transform_reverts_f_once(monkeypatch):
     assert is_gi(f)
     transforms.u_transform(f)
     assert calls == [f]
+
+
+@pytest.mark.parametrize("op, composes", [("s_transform", 1),
+                                          ("u_transform", 3)])
+def test_s_is_solved_once(monkeypatch, op, composes):
+    # one reversion gives S, and one composition checks its fixed point;
+    # u_transform composes twice more for its other two expressions
+    calls = []
+
+    def counted(name):
+        real = getattr(transforms, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("comp_inverse", "compose_at"):
+        monkeypatch.setattr(transforms, name, counted(name))
+    getattr(transforms, op)(random_series(random.Random(4), 2, 3, "gi"))
+    assert sorted(calls) == ["comp_inverse"] + ["compose_at"] * composes

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from freeconv.algebra import AlgebraElement, random_element_from
-from freeconv.multiseries import (TruncSeries, comp_inverse, compose_at,
-                                  is_gdif, is_gi, is_ginv, mul_at,
+from freeconv.multiseries import (MultiMap, TruncSeries, comp_inverse,
+                                  compose_at, is_gdif, is_gi, is_ginv, mul_at,
                                   mult_inverse, random_series)
-from freeconv.transforms import (BOX_VARIANTS, _s_via_fixed_point, boxconv,
-                                 s_prime, s_transform, strip_identity,
-                                 u_transform, verify_transform_identities)
+from freeconv.transforms import (BOX_VARIANTS, boxconv, s_prime, s_transform,
+                                 strip_identity, u_transform,
+                                 verify_transform_identities)
+import freeconv.transforms as transforms
 
 D, N = 2, 3
 
@@ -108,9 +109,13 @@ def test_s_transform_defining_property():
 
 
 def test_s_transform_paths_agree():
+    # the reversion route and the fixed point S = (F o (I.S))^{-1}; the
+    # fixed point solved degree by degree is test_series_kernel's oracle
     f = random_series(random.Random(12), D, N, "gi")
-    assert (strip_identity(comp_inverse(f)) == _s_via_fixed_point(f)
-            == s_transform(f))
+    s = s_transform(f)
+    inner = mul_at(TruncSeries.identity(D, N - 1), s, N - 1)
+    assert strip_identity(comp_inverse(f)) == s
+    assert mult_inverse(compose_at(strip_identity(f), inner, N - 1)) == s
 
 
 def test_transforms_reject_non_absorbing_series():
@@ -141,6 +146,54 @@ def test_s_prime_defining_property():
     ident = TruncSeries.identity(D, N)
     fi = mul_at(strip_identity(f), ident, N)
     assert mul_at(sp, ident, N) == comp_inverse(fi)
+
+
+# -- each runtime check fires on a corrupted reversion ---------------------------
+
+def _corrupt_reversions(monkeypatch, corrupt):
+    real = transforms.comp_inverse
+    monkeypatch.setattr(transforms, "comp_inverse",
+                        lambda f: corrupt(real(f)))
+
+
+def _degree_two_doubled(h):
+    assert not h[2].is_zero()
+    return TruncSeries(h.d, h.N, [m.scale(2) if m.n == 2 else m
+                                  for m in h.maps])
+
+
+def _commutator_added(h):
+    # x y - y x vanishes when either argument is the unit, so the slot read
+    # off h is unchanged while h loses its I.S (or S'.I) shape
+    comm = MultiMap.from_function(h.d, 2, lambda x, y: x * y - y * x)
+    return h + TruncSeries(h.d, h.N, [comm if n == 2 else MultiMap.zero(h.d, n)
+                                      for n in range(h.N + 1)])
+
+
+@pytest.mark.parametrize("op", [s_transform, u_transform])
+def test_s_fixed_point_check_fires(monkeypatch, op):
+    # the corrupted reversion keeps the I.S shape, but the S read off it
+    # fails S = (F o (I.S))^{-1} from degree 1 on
+    f = random_series(random.Random(18), D, N, "gi")
+    _corrupt_reversions(monkeypatch, _degree_two_doubled)
+    with pytest.raises(ArithmeticError, match="fixed-point"):
+        op(f)
+
+
+def test_u_transform_expressions_check_fires(monkeypatch):
+    # S is read off correctly, so only (F.I) o f^{o-1} is off
+    f = random_series(random.Random(19), D, N, "gi")
+    _corrupt_reversions(monkeypatch, _commutator_added)
+    with pytest.raises(ArithmeticError, match="three U-transform"):
+        u_transform(f)
+
+
+def test_s_prime_shape_check_fires(monkeypatch):
+    # a doubled degree keeps the S'.I shape and would pass; this breaks it
+    f = random_series(random.Random(20), D, N, "gi")
+    _corrupt_reversions(monkeypatch, _commutator_added)
+    with pytest.raises(ArithmeticError, match=r"S'\.I"):
+        s_prime(f)
 
 
 def test_strip_identity_round_trip():
