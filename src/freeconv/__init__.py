@@ -17,8 +17,9 @@ from .freeprob import (CumulantSpec, MomentSpec, cumulants_by_trees,
                        speicher_relation_check, verify_freeprob_identities)
 from .multiseries import (MultiMap, TruncSeries, alt_tree_eval, comp_inverse,
                           compose_at, is_gdif, is_gi, is_ginv, mul_at,
-                          mult_inverse, operad_eval, random_series,
-                          series_compose, series_mul, tree_eval, word_action)
+                          mult_inverse, operad_eval, operad_evaluator,
+                          random_series, series_compose, series_mul, tree_eval,
+                          word_action)
 from .partitions import enumerate_ncp, interleave, kreweras, merge_op
 from .transforms import (boxconv, boxconv_by_trees, s_prime, s_transform,
                          strip_identity, u_transform,
@@ -42,8 +43,8 @@ __all__ = [
     "speicher_relation_check", "verify_freeprob_identities",
     "MultiMap", "TruncSeries", "alt_tree_eval", "comp_inverse", "compose_at",
     "is_gdif", "is_gi", "is_ginv", "mul_at", "mult_inverse", "operad_eval",
-    "random_series", "series_compose", "series_mul", "tree_eval",
-    "word_action",
+    "operad_evaluator", "random_series", "series_compose", "series_mul",
+    "tree_eval", "word_action",
     "enumerate_ncp", "interleave", "kreweras", "merge_op",
     "boxconv", "boxconv_by_trees", "s_prime", "s_transform",
     "strip_identity", "u_transform",

@@ -39,6 +39,10 @@ def _tuplify(x):
     return x
 
 
+def _is_nested_list(x):
+    return isinstance(x, list) and all(_is_nested_list(c) for c in x)
+
+
 def _base_family(fam):
     return fam[:-4] if fam.endswith("_rev") else fam
 
@@ -66,9 +70,16 @@ def _decode(fam, text):
     elif base.startswith("ncp"):
         x = partition_from_json(json.loads(text))
     elif base == "ndpf":
-        x = tuple(json.loads(text))
+        x = json.loads(text)
+        if not (isinstance(x, list) and all(type(v) is int for v in x)):
+            raise ValueError("an ndpf input must be a JSON list of integers")
+        x = tuple(x)
     else:
-        x = _tuplify(json.loads(text))
+        x = json.loads(text)
+        if not _is_nested_list(x):
+            raise ValueError(f"a {base} input must be a planar tree: "
+                             "JSON lists nested in lists")
+        x = _tuplify(x)
     if not get_family(fam).member(x):
         raise ValueError(f"input is not a member of family {fam!r}")
     return x

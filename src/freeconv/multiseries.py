@@ -910,6 +910,8 @@ def cumulants_by_recursion(m):
 # its argument, a left subtree is folded to f(word) times the root argument,
 # and a right subtree concatenates.  The equality with tree_eval is the
 # content of the operadic description and is pinned by the test suite.
+# The G^I shape belongs to the series, not to a tree: operad_evaluator(f)
+# checks it once, and the evaluator it returns serves every tree of f.
 
 def word_of_tree(f, t, args):
     """The element of the tensor algebra produced by reading t at args."""
@@ -933,13 +935,30 @@ def apply_to_word(f, word):
     return f[len(word)](*word)
 
 
-def operad_eval(f, t, args):
-    """f_t(args) computed through the word recursion; needs f in G^I shape."""
+def operad_evaluator(f):
+    """evaluate(t, args) = f_t(args) through the word recursion, for any tree t.
+
+    f must have the G^I shape; that is checked here, once, so a caller that
+    reads many trees of one series pays for one is_gi pass.
+    """
     if not is_gi(f):
         raise ValueError("the word recursion is only valid for series in I.Mult")
-    if len(args) != tree_size(t):
-        raise ValueError("argument count must match the vertex count")
-    return apply_to_word(f, word_of_tree(f, t, tuple(args)))
+
+    def evaluate(t, args):
+        if len(args) != tree_size(t):
+            raise ValueError("argument count must match the vertex count")
+        return apply_to_word(f, word_of_tree(f, t, tuple(args)))
+
+    return evaluate
+
+
+def operad_eval(f, t, args):
+    """f_t(args) computed through the word recursion; needs f in G^I shape.
+
+    One tree: operad_evaluator(f) checks the shape and evaluates t.  To read
+    several trees of one series, build the evaluator once instead.
+    """
+    return operad_evaluator(f)(t, args)
 
 
 def word_action(f, u, v):

@@ -39,7 +39,7 @@ import time
 from .algebra import random_element_from
 from .catalan import (FAMILIES, NAMED_BIJECTIONS, catalan_iso, family_elements,
                       get_family, named_bijection, verify_diagram)
-from .multiseries import (first_difference, operad_eval, random_series,
+from .multiseries import (first_difference, operad_evaluator, random_series,
                           tree_eval, word_action)
 from .partitions import enumerate_ncp, interleave, kreweras
 from .trees import enumerate_trees, rmap, tree_to_text
@@ -226,11 +226,12 @@ def verify_operad_identities(N=5, d=2, trials=5, seed=0):
     for trial in range(trials):
         params = {"trial": trial}
         f = random_series(rng, d, N, "gi", bound=2)
+        evaluate = operad_evaluator(f)
 
         for n in range(1, N + 1):
             for t in enumerate_trees(n):
                 args = tuple(random_element_from(rng, 2, d) for _ in range(n))
-                lhs = operad_eval(f, t, args)
+                lhs = evaluate(t, args)
                 rhs = tree_eval(f, t, args)
                 record("word-recursion",
                        "operad_eval(f, t, xs) == tree_eval(f, t, xs) for "

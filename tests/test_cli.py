@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from freeconv.catalan import FAMILIES
 from freeconv.cli import main
 from freeconv.freeprob import CumulantSpec
 from freeconv.multiseries import TruncSeries, random_series
@@ -169,6 +170,15 @@ def test_malformed_series_file_exits_three(capsys, tmp_path, kind):
                          ids=["kreweras", "map-from-ncp1"])
 def test_malformed_partition_exits_three(capsys, argv):
     _exits_three_with_one_error_line(capsys, *argv)
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[5, []]", "[true]"])
+@pytest.mark.parametrize("fam", sorted(FAMILIES))
+def test_malformed_map_input_exits_three(capsys, fam, text):
+    # a bare number, null, a number inside the nesting or a boolean is no
+    # member of any family; the shape is checked before membership is asked
+    _exits_three_with_one_error_line(capsys, "map", "--from", fam, "--to",
+                                     "ncp1", "--input", text)
 
 
 def test_convolve_and_transform_emit_valid_series(capsys, series_files):

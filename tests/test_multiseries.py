@@ -12,6 +12,7 @@ from freeconv.multiseries import (MultiMap, TreeTensors, TruncSeries,
                                   alt_tree_eval, apply_to_word, comp_inverse,
                                   compose_at, first_difference, is_gdif, is_gi,
                                   is_ginv, mul_at, mult_inverse, operad_eval,
+                                  operad_evaluator, random_multimap,
                                   random_series, series_compose, series_mul,
                                   tree_eval, word_action, word_of_tree)
 from freeconv.freeprob import CumulantSpec, moments_by_trees
@@ -426,6 +427,29 @@ def test_operad_eval_rejects_non_absorbing_series():
     f = random_series(random.Random(27), D, N, "ginv")
     with pytest.raises(ValueError):
         operad_eval(f, SINGLE, (_x(28),))
+
+
+def test_operad_evaluator_checks_every_degree_when_built():
+    # G^I through degree 1, broken at degree 2: the evaluator is refused
+    # before it is given a tree
+    rng = random.Random(32)
+    f = random_series(rng, D, N, "gi")
+    maps = list(f.maps)
+    maps[2] = random_multimap(rng, D, 2)
+    g = TruncSeries(D, N, maps)
+    assert is_gi(g.truncate(1)) and not is_gi(g)
+    with pytest.raises(ValueError, match="I.Mult"):
+        operad_evaluator(g)
+
+
+def test_operad_evaluator_checks_the_argument_count():
+    f = random_series(random.Random(33), D, N, "gi")
+    evaluate = operad_evaluator(f)
+    x = _x(34)
+    assert evaluate(SINGLE, (x,)) == operad_eval(f, SINGLE, (x,)) == f[1](x)
+    for args in ((), (x, x)):
+        with pytest.raises(ValueError, match="argument count"):
+            evaluate(SINGLE, args)
 
 
 def test_word_of_tree_on_the_single_vertex():

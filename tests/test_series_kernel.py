@@ -27,6 +27,8 @@ from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
                                   mult_inverse, random_series,
                                   tensor_product_sum)
 from freeconv.transforms import boxconv, s_transform, strip_identity
+from freeconv.verify import verify_operad_identities
+import freeconv.multiseries as multiseries
 import freeconv.transforms as transforms
 
 _SHAPES = [(d, order) for d in (1, 2, 3) for order in range(1, 5)
@@ -471,3 +473,18 @@ def test_s_is_solved_once(monkeypatch, op, composes):
         monkeypatch.setattr(transforms, name, counted(name))
     getattr(transforms, op)(random_series(random.Random(4), 2, 3, "gi"))
     assert sorted(calls) == ["comp_inverse"] + ["compose_at"] * composes
+
+
+def test_operad_suite_checks_each_series_once(monkeypatch):
+    # a series' G^I shape is checked once, not once per tree read with it
+    calls = []
+    real = multiseries.is_gi
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(multiseries, "is_gi", counted)
+    report = verify_operad_identities(N=3, d=2, trials=2)
+    assert report["status"] == "pass"
+    assert len(calls) == 2 and calls[0] != calls[1]
