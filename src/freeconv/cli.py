@@ -298,6 +298,9 @@ def main(argv=None):
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError as exc:
+        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,10 @@ map per argument.  Fraction entries cross into a map through _to_ints (the
 checked constructor, evaluation's arguments and the inverse) and out of it
 through _to_element (evaluation's value and the ``tensor`` view).
 MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
-tests and both series inverses.  Operations that mix
+tests and both series inverses.  An outer series f = I.F or F.I, read by
+absorbed(f, side), composes as g.(F o g) or (F o g).g and reverts by solving
+that product equal to I degree by degree, so its top degree is never a sum
+over compositions; other outer series take that sum.  Operations that mix
 two series of different truncation orders are rejected at the public
 level; the ``mul_at``/``compose_at`` variants compute a requested output
 order and raise unless the inputs genuinely determine every coefficient up
@@ -358,43 +361,49 @@ def is_gdif(f):
     return f[0].is_zero() and f.N >= 1 and _has_inverse(f[1])
 
 
-def is_gi(f):
-    """f = I.h with h invertible: every f_n factors through its first argument
-    as f_n(x_1, ..., x_n) = x_1 f_n(1, x_2, ..., x_n), and f_1(1) in B^x.
+def absorbed(f, side):
+    """F with f = I.F (side 0) or f = F.I (side 1), or None for neither:
+    f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ...) or F_{n-1}(..., x_{n-1}) x_n.
 
-    Left multiplication by E_pq moves row q to row p and zeroes the others,
-    so the factorization holds exactly when, for each (q, rest), the d
-    entries f_n(E_pq, rest), p = 0..d-1, are all zero or all nonzero, and
-    each is zero outside row p and carries one common row r(q, rest) there.
-    f_1(1) is then the matrix with rows r(q, ()).  One pass over each
-    integer table, whose one denominator changes neither test.
+    E_pq A is row q of A moved to row p, and A E_pq is column p moved to
+    column q.  So f has the shape exactly when, for each source line (row q
+    or column p) and the other arguments `rest`, the d entries with a matrix
+    unit of that source in the absorbing slot are all present or all
+    absent, each zero off its target line and all carrying one line: that
+    line of F_{n-1}(rest).  One pass over each table tests this and reads F
+    off; F's entries are f's, so f's denominator is F's least one.
     """
     if not f[0].is_zero() or f.N < 1:
-        return False
+        return None
     d = f.d
+    maps = []
     for n in range(1, f.N + 1):
-        common = {}
-        count = {}
-        for key, vec in f[n].table.items():
-            p, q = divmod(key[0], d)
-            lo, hi = p * d, p * d + d
-            if any(vec[:lo]) or any(vec[hi:]):
-                return False
-            row = vec[lo:hi]
-            group = (q, key[1:])
-            if common.setdefault(group, row) != row:
-                return False
-            count[group] = count.get(group, 0) + 1
-        if any(c != d for c in count.values()):
-            return False
-        if n == 1:
-            if len(common) != d:
-                return False
-            try:
-                linmap_inverse([common[q, ()] for q in range(d)])
-            except NotInvertibleError:
-                return False
-    return True
+        table, lines, stripped = f[n].table, {}, {}
+        for key, vec in table.items():
+            if side:
+                src, dst = divmod(key[-1], d)
+                line, group = vec[dst::d], (src, key[:-1])
+            else:
+                dst, src = divmod(key[0], d)
+                line, group = vec[dst * d:dst * d + d], (src, key[1:])
+            if (len(vec) - vec.count(0) != len(line) - line.count(0)
+                    or lines.setdefault(group, line) != line):
+                return None
+        if len(table) != d * len(lines):
+            return None
+        for (src, rest), line in lines.items():
+            at = slice(src, None, d) if side else slice(src * d, src * d + d)
+            stripped.setdefault(rest, [0] * (d * d))[at] = line
+        maps.append(MultiMap._of(d, n - 1, stripped, f[n].den))
+    return TruncSeries(d, f.N - 1, maps)
+
+
+def is_gi(f):
+    """f = I.F with F in G^inv: every f_n factors through its first argument
+    as f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ..., x_n) (the pass of
+    absorbed(f, 0)), and F_0 = f_1(1) is invertible."""
+    F = absorbed(f, 0)
+    return F is not None and _has_inverse(F[0])
 
 
 # -- the integer kernel -------------------------------------------------------------
@@ -560,6 +569,10 @@ def compose_at(f, g, order):
     m <= n - (lead_+(f) - 1) * lead(g), where lead_+ is the first nonzero
     positive degree; the output order is admissible only when every consumed
     degree lies inside the truncations.
+
+    An outer f = I.F or F.I (absorbed) with order >= lead(g) composes as
+    g.(F o g) or (F o g).g, F o g to order - lead(g); any other f sums f_k
+    over the compositions of each degree.
     """
     if f.d != g.d:
         raise ValueError("dimension mismatch")
@@ -575,6 +588,12 @@ def compose_at(f, g, order):
        (pos_lead is not None and order - (pos_lead - 1) * lg > g.N):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
+    if order >= lg:
+        for side in (0, 1):
+            F = absorbed(f, side)
+            if F is not None:
+                fg = compose_at(F, g, order - lg)
+                return mul_at(fg, g, order) if side else mul_at(g, fg, order)
     out = [f[0]] + [_composition_degree(f.maps, g.maps, 1, n, d)
                     for n in range(1, order + 1)]
     return TruncSeries(d, order, out)
@@ -616,12 +635,20 @@ def mult_inverse(f):
 def comp_inverse(f):
     """Inverse for composition; needs f in G^dif.
 
-    g_1 = f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ..., g_{m_k}));
-    -f_1^{-1} is contracted into each f_k once, as an integer matrix.
+    For f = I.F or F.I (absorbed), f o g = I reads g.(F o g) = I or
+    (F o g).g = I; with c = F_0^{-1}, g_1 = x c or c x, and g_n is
+    -(sum_{a<n} g_a (x) (F o g)_{n-a}) c or -c sum_{a<n} (F o g)_{n-a} (x) g_a,
+    each (F o g)_j built once, with -c multiplied in.  Otherwise g_1 =
+    f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ..., g_{m_k})),
+    -f_1^{-1} contracted into each f_k once, as an integer matrix.
     """
     if not f[0].is_zero() or f.N < 1:
         raise ValueError("series is not compositionally invertible")
     d, N = f.d, f.N
+    for side in (0, 1):
+        F = absorbed(f, side)
+        if F is not None:
+            return _revert_absorbed(F, side)
     try:
         g1 = f[1].inverse()
     except NotInvertibleError:
@@ -634,6 +661,30 @@ def comp_inverse(f):
     g = [MultiMap.zero(d, 0), g1]
     for n in range(2, N + 1):
         g.append(_composition_degree(scaled, g, 2, n, d))
+    return TruncSeries(d, N, g)
+
+
+def _revert_absorbed(F, side):
+    """comp_inverse of I.F (side 0) or F.I (side 1), given F."""
+    d, N = F.d, F.N + 1
+    try:
+        c = F[0].inverse()
+    except NotInvertibleError:
+        raise ValueError("series is not compositionally invertible") from None
+    neg = c.scale(-1)
+
+    def pair(x, y):
+        # x is the absorbed argument's factor and y is F's: x y for I.F
+        return (y, x) if side else (x, y)
+
+    g = [MultiMap.zero(d, 0),
+         tensor_product_sum([pair(MultiMap.identity(d), c)], d, 1)]
+    scaled = [None]
+    for n in range(2, N + 1):
+        fg = _composition_degree(F.maps, g, 1, n - 1, d)
+        scaled.append(tensor_product_sum([pair(fg, neg)], d, n - 1))
+        g.append(tensor_product_sum((pair(g[a], scaled[n - a])
+                                     for a in range(1, n)), d, n))
     return TruncSeries(d, N, g)
 
 

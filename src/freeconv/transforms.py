@@ -10,16 +10,17 @@ which walk no tree.  The S-transform of f = I.F is the series S with
 f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
 F.I instead.  No transform is returned unchecked: S comes from one
 reversion of f and must solve its fixed-point equation S = (F o (I.S))^{-1},
-U is computed three ways, and S' must reassemble into S'.I.
+U is computed three ways, and S' is read off a reversion that must factor
+as S'.I.
 """
 
 import random
 
 from .algebra import AlgebraElement
-from .multiseries import (MultiMap, TreeTensors, TruncSeries, comp_inverse,
-                          compose_at, is_gdif, is_gi, is_ginv, mul_at,
-                          mult_inverse, random_series, red_by_recursion,
-                          redred_by_recursion)
+from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorbed,
+                          comp_inverse, compose_at, is_gdif, is_gi, is_ginv,
+                          mul_at, mult_inverse, random_series,
+                          red_by_recursion, redred_by_recursion)
 from .trees import enumerate_trees, rmap
 from .verify import Report
 
@@ -175,16 +176,15 @@ def u_transform(f):
 def s_prime(f):
     """S' with S'.I = (F.I)^{o-1}, for f = I.F; one order shorter than f.
 
-    The reversion of F.I absorbs its last argument on the right, which is
-    checked by reassembling S'.I before returning.
+    The reversion of F.I absorbs its last argument on the right; S' is read
+    off it by absorbed(h, 1), which also checks that it factors as S'.I.
     """
     if not is_gi(f):
         raise ValueError("the primed transform needs a series of the I.F shape")
-    d, N = f.d, f.N
-    ident = TruncSeries.identity(d, N)
-    h = comp_inverse(mul_at(strip_identity(f), ident, N))
-    sp = TruncSeries(d, N - 1, [h[m + 1].unit_in_last_slot() for m in range(N)])
-    if mul_at(sp, ident, N) != h:
+    N = f.N
+    h = comp_inverse(mul_at(strip_identity(f), TruncSeries.identity(f.d, N), N))
+    sp = absorbed(h, 1)
+    if sp is None:
         raise ArithmeticError("the reversion of F.I does not factor as S'.I")
     return sp
 

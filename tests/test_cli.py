@@ -181,6 +181,14 @@ def test_malformed_map_input_exits_three(capsys, fam, text):
                                      "ncp1", "--input", text)
 
 
+@pytest.mark.parametrize("fam, text", [("pt1", "[" * 1500 + "]" * 1500),
+                                       ("y", "(|," * 1500 + "|" + ")" * 1500)])
+def test_deeply_nested_map_input_exits_three(capsys, fam, text):
+    # the JSON and tree-text readers recurse once per level of nesting
+    _exits_three_with_one_error_line(capsys, "map", "--from", fam, "--to",
+                                     "ncp1", "--input", text)
+
+
 def test_convolve_and_transform_emit_valid_series(capsys, series_files):
     code, out, _ = run(capsys, "convolve", "--variant", "box",
                        "--f", series_files["ka"], "--g", series_files["kb"])

@@ -10,6 +10,9 @@ degree, and evaluation at algebra elements accumulated in ``Fraction``
 arithmetic.
 ``MultiMap.inverse`` is checked against the unit and the identity, and a
 linear term's inverse against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
+Outer series of the shapes I.F and F.I, which compose and revert through
+F, are checked against the same composition and reversion oracles at every
+order, raising exactly where compose_at's admissibility rule says.
 """
 
 import json
@@ -23,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
                               random_element_from)
 from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
-                                  comp_inverse, compose_at, is_gi, mul_at,
-                                  mult_inverse, random_series,
+                                  absorbed, comp_inverse, compose_at, is_gi,
+                                  mul_at, mult_inverse, random_series,
                                   tensor_product_sum)
 from freeconv.transforms import boxconv, s_transform, strip_identity
 from freeconv.verify import verify_operad_identities
@@ -273,6 +276,99 @@ def test_series_kernel_matches_the_fraction_entry_oracles(kind, shape, seed):
             assert comp_inverse(f) == _comp_inverse(f)
     if kind == "gi" and order >= 2:
         assert s_transform(f) == _s_fixed_point(f)
+
+
+def _composition_admissible(f, g, order):
+    """compose_at's rule: degree n reads f_k for k <= n // lead(g) and g_m
+    for m <= n - (lead_+(f) - 1) * lead(g), lead_+ the first nonzero
+    positive degree of f."""
+    lg = g.lead()
+    if lg is None:
+        return True
+    pos_lead = next((k for k in range(1, f.N + 1) if not f[k].is_zero()),
+                    None)
+    return order // lg <= f.N and (pos_lead is None
+                                   or order - (pos_lead - 1) * lg <= g.N)
+
+
+def _series_of(rng, d, N, name):
+    if name == "zero":
+        return TruncSeries.zero(d, N)
+    if name == "I":
+        return TruncSeries.identity(d, N)
+    return random_series(rng, d, N, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(outer=st.sampled_from(["I.F", "F.I", "zero", "I"]),
+       kind=st.sampled_from(["gi", "ginv", "mult"]),
+       inner=st.sampled_from(["gdif", "gi", "mult", "zero", "I"]),
+       inner_lead=st.sampled_from([1, 2]), gap=st.booleans(),
+       shape=st.sampled_from([(d, N) for d, N in _SHAPES if N >= 2]),
+       seed=st.integers(0, 2 ** 16))
+def test_absorbing_outer_series_match_the_oracles_at_every_order(
+        outer, kind, inner, inner_lead, gap, shape, seed):
+    # I.F and F.I compose and revert through F; F of kind gi or mult has
+    # F_0 = 0, so f_1 = 0, f is not invertible and g is read past its order.
+    # With a gap, one entry of the top degree is gone: every line of f is
+    # still right, but for d >= 2 f has lost its shape
+    d, N = shape
+    rng = random.Random(seed)
+    if outer in ("I.F", "F.I"):
+        F = random_series(rng, d, N - 1, kind)
+        ident = TruncSeries.identity(d, N)
+        side = outer == "F.I"
+        f = mul_at(F, ident, N) if side else mul_at(ident, F, N)
+        assert absorbed(f, side) == F
+    else:
+        f = _series_of(rng, d, N, outer)
+    if gap and not f[N].is_zero():
+        top = dict(f[N].tensor)
+        del top[min(top)]
+        f = TruncSeries(d, N, f.maps[:N] + (MultiMap(d, N, top),))
+    g = _series_of(rng, d, N, inner)
+    if inner_lead == 2:
+        g = TruncSeries(d, N, [MultiMap.zero(d, 0), MultiMap.zero(d, 1)]
+                        + list(g.maps[2:]))
+    g = g.truncate(rng.randint(1, N))
+    for order in range(N + 1):
+        if _composition_admissible(f, g, order):
+            assert compose_at(f, g, order) == _compose_at(f, g, order)
+        else:
+            with pytest.raises(ValueError, match="not determined"):
+                compose_at(f, g, order)
+    try:
+        _linear_inverse(f[1])
+    except NotInvertibleError:
+        with pytest.raises(ValueError, match="not compositionally invertible"):
+            comp_inverse(f)
+    else:
+        assert comp_inverse(f) == _comp_inverse(f)
+
+
+def test_absorbing_series_compose_and_revert_below_the_top_degree(
+        monkeypatch):
+    # I.F and F.I compose and revert through F o g below the top degree;
+    # a composition sum at degree N means the generic path ran
+    degrees = []
+    real = multiseries._composition_degree
+
+    def counted(f_maps, g_maps, k_min, n, d):
+        degrees.append(n)
+        return real(f_maps, g_maps, k_min, n, d)
+
+    monkeypatch.setattr(multiseries, "_composition_degree", counted)
+    rng = random.Random(8)
+    f = random_series(rng, 2, 4, "gi")
+    fi = mul_at(strip_identity(f), TruncSeries.identity(2, 4), 4)
+    g = random_series(rng, 2, 4, "gdif")
+    for series in (f, fi):
+        degrees.clear()
+        comp_inverse(series)
+        assert degrees and max(degrees) < 4
+        degrees.clear()
+        compose_at(series, g, 4)
+        assert degrees and max(degrees) <= 3
 
 
 @settings(max_examples=40, deadline=None)

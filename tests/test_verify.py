@@ -218,8 +218,8 @@ def _users(match, skip=()):
 
 def test_kernel_code_reads_no_fraction_entries_and_inverts_in_one_place():
     # the Fraction view of a map is for output only, and every inverse of a
-    # degree-0 or degree-1 map goes through MultiMap.inverse; is_gi hands
-    # its integer rows to the Gauss-Jordan itself
+    # degree-0 or degree-1 map goes through MultiMap.inverse, is_gi's test
+    # of F_0 included
     assert _users(lambda n: isinstance(n, ast.Attribute)
                   and n.attr == "tensor") == {
         ("multiseries.py", "TruncSeries.to_json"),
@@ -228,7 +228,7 @@ def test_kernel_code_reads_no_fraction_entries_and_inverts_in_one_place():
     assert _users(lambda n: isinstance(n, ast.Name) and n.id in inverses
                   or isinstance(n, ast.Attribute) and n.attr in inverses,
                   skip={"algebra.py"}) == {
-        ("multiseries.py", "MultiMap.inverse"), ("multiseries.py", "is_gi")}
+        ("multiseries.py", "MultiMap.inverse")}
 
 
 def test_a_map_crosses_to_fraction_entries_through_one_pair_of_helpers():
