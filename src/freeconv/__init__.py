@@ -18,8 +18,7 @@ from .freeprob import (CumulantSpec, MomentSpec, cumulants_by_trees,
 from .multiseries import (MultiMap, TruncSeries, alt_tree_eval, comp_inverse,
                           compose_at, is_gdif, is_gi, is_ginv, mul_at,
                           mult_inverse, operad_eval, operad_evaluator,
-                          random_series, series_compose, series_mul, tree_eval,
-                          word_action)
+                          random_series, tree_eval, word_action)
 from .partitions import enumerate_ncp, interleave, kreweras, merge_op
 from .transforms import (boxconv, boxconv_by_trees, s_prime, s_transform,
                          strip_identity, u_transform,
@@ -43,8 +42,7 @@ __all__ = [
     "speicher_relation_check", "verify_freeprob_identities",
     "MultiMap", "TruncSeries", "alt_tree_eval", "comp_inverse", "compose_at",
     "is_gdif", "is_gi", "is_ginv", "mul_at", "mult_inverse", "operad_eval",
-    "operad_evaluator", "random_series", "series_compose", "series_mul",
-    "tree_eval", "word_action",
+    "operad_evaluator", "random_series", "tree_eval", "word_action",
     "enumerate_ncp", "interleave", "kreweras", "merge_op",
     "boxconv", "boxconv_by_trees", "s_prime", "s_transform",
     "strip_identity", "u_transform",

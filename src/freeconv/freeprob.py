@@ -26,8 +26,9 @@ import random
 from itertools import product as _cartesian
 
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
-from .multiseries import (MultiMap, TreeTensors, TruncSeries, alt_tree_eval,
-                          comp_inverse, compose_at, cumulants_by_recursion,
+from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
+                          alt_tree_eval, comp_inverse, compose_at,
+                          cumulants_by_recursion,
                           is_gi, moments_by_recursion, mul_at,
                           random_multimap, random_series, tree_eval)
 from .transforms import (boxconv, s_prime, s_transform, strip_identity,
@@ -167,14 +168,15 @@ def speicher_relation_check(k, m):
     d, order = K.d, K.N
     ident = TruncSeries.identity(d, order)
     one = TruncSeries.constant(AlgebraElement.unit(d), order)
-    imi = mul_at(mul_at(ident, M, order), ident, order)
+    im = absorb(M, 0).truncate(order)
+    imi = absorb(im, 1).truncate(order)
     core = compose_at(K, ident + imi, order)
     report = Report("moment-cumulant", seed=None, order=order, dim=d)
     for cid, statement, lhs in (
             ("fixed-point-right", "M == (K o (I + I.M.I)) * (1 + I.M)",
-             mul_at(core, one + mul_at(ident, M, order), order)),
+             mul_at(core, one + im, order)),
             ("fixed-point-left", "M == (1 + M.I) * (K o (I + I.M.I))",
-             mul_at(one + mul_at(M, ident, order), core, order))):
+             mul_at(one + absorb(M, 1).truncate(order), core, order))):
         report.compare(cid, statement, lhs, M, {"order": order})
     return report.finish()
 
@@ -344,8 +346,6 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
     report = Report("freeprob", seed=seed, order=N, dim=d, trials=trials)
     record, compare = report.record, report.compare
 
-    ident = TruncSeries.identity(d, N)
-
     for trial in range(trials):
         params = {"trial": trial}
         ka = CumulantSpec(random_series(rng, d, N, "gi", bound=2))
@@ -381,7 +381,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
                 s_ab, compose_at(mul_at(sp_b, s_a, N - 1), u_b, N - 1), params)
 
         compare("u-from-moments", "U(a) == (M.I) o (I.M)^{o-1}",
-                u_a, compose_at(mul_at(strip_identity(ma.series), ident, N),
+                u_a, compose_at(absorb(strip_identity(ma.series), 1),
                                 comp_inverse(ma.series), N), params)
 
         compare("u-of-product", "U(ab) == U(a) o U(b)",
@@ -583,12 +583,11 @@ def _substitution_check(report, rng, d):
     statement = ("evaluating a tree built from planted even-parity pieces "
                  "factors through the pieces with alternating series roles")
     report.record(cid, statement, True)
-    ident = TruncSeries.identity(d, _SUB_ORDER)
 
     def absorbing():
         h = TruncSeries(d, _SUB_ORDER, [random_multimap(rng, d, n, bound=1)
                                         for n in range(_SUB_ORDER + 1)])
-        return mul_at(ident, h, _SUB_ORDER)
+        return absorb(h.truncate(_SUB_ORDER - 1), 0)
 
     f = absorbing()
     g = absorbing()
@@ -650,8 +649,7 @@ def sab_search(N=4, d=2, trials=50, seed=0):
             continue
         mb = moments_from_cumulants(kb).series
         M = strip_identity(mb)
-        ident = TruncSeries.identity(d, N)
-        commutes = (mul_at(M, ident, N) == mul_at(ident, M, N))
+        commutes = absorb(M, 1) == absorb(M, 0)
         ka_constant = all(ka.series[n].is_zero() for n in range(2, N + 1))
         if commutes or ka_constant:
             commuting += 1

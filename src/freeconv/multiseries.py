@@ -22,7 +22,10 @@ MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
 tests and both series inverses.  An outer series f = I.F or F.I, read by
 absorbed(f, side), composes as g.(F o g) or (F o g).g and reverts by solving
 that product equal to I degree by degree, so its top degree is never a sum
-over compositions; other outer series take that sum.  Operations that mix
+over compositions; other outer series take that sum.  absorb(F, side)
+builds I.F or F.I back by moving entries.  The degree-by-degree recursions
+behind the boxed convolutions and the moment-cumulant conversions contract
+F in place of f = I.F in the same way.  Operations that mix
 two series of different truncation orders are rejected at the public
 level; the ``mul_at``/``compose_at`` variants compute a requested output
 order and raise unless the inputs genuinely determine every coefficient up
@@ -175,10 +178,6 @@ class MultiMap:
     def unit_in_first_slot(self):
         """The degree-(n-1) map (x_2..x_n) -> f(1, x_2..x_n)."""
         return self._unit_in_slot(0)
-
-    def unit_in_last_slot(self):
-        """The degree-(n-1) map (x_1..x_{n-1}) -> f(x_1..x_{n-1}, 1)."""
-        return self._unit_in_slot(self.n - 1)
 
     def _unit_in_slot(self, j):
         # the unit is the sum of the E_pp: one table per p, then one merge
@@ -376,26 +375,44 @@ def absorbed(f, side):
     if not f[0].is_zero() or f.N < 1:
         return None
     d = f.d
+    at = _lines(d, side)
     maps = []
     for n in range(1, f.N + 1):
         table, lines, stripped = f[n].table, {}, {}
         for key, vec in table.items():
             if side:
                 src, dst = divmod(key[-1], d)
-                line, group = vec[dst::d], (src, key[:-1])
+                group = (src, key[:-1])
             else:
                 dst, src = divmod(key[0], d)
-                line, group = vec[dst * d:dst * d + d], (src, key[1:])
+                group = (src, key[1:])
+            line = vec[at[dst]]
             if (len(vec) - vec.count(0) != len(line) - line.count(0)
                     or lines.setdefault(group, line) != line):
                 return None
         if len(table) != d * len(lines):
             return None
         for (src, rest), line in lines.items():
-            at = slice(src, None, d) if side else slice(src * d, src * d + d)
-            stripped.setdefault(rest, [0] * (d * d))[at] = line
+            stripped.setdefault(rest, [0] * (d * d))[at[src]] = line
         maps.append(MultiMap._of(d, n - 1, stripped, f[n].den))
     return TruncSeries(d, f.N - 1, maps)
+
+
+def absorb(F, side):
+    """I.F (side 0) or F.I (side 1), one order longer than F: the inverse of
+    absorbed.  Each degree moves F's entries (_times_x) and multiplies
+    none, so it is mul_at(I, F) or mul_at(F, I) without the products."""
+    d = F.d
+    return TruncSeries(d, F.N + 1, [MultiMap.zero(d, 0)]
+                       + [_times_x(m, side) for m in F.maps])
+
+
+def _lines(d, side):
+    """The slices of the rows (side 0) or the columns (side 1) of a d x d
+    coordinate vector: the lines that a matrix unit in an absorbing slot
+    moves."""
+    return [slice(i, None, d) if side else slice(i * d, i * d + d)
+            for i in range(d)]
 
 
 def is_gi(f):
@@ -599,18 +616,6 @@ def compose_at(f, g, order):
     return TruncSeries(d, order, out)
 
 
-def series_mul(f, g):
-    if (f.d, f.N) != (g.d, g.N):
-        raise ValueError("series must share dimension and truncation order")
-    return mul_at(f, g, f.N)
-
-
-def series_compose(f, g):
-    if (f.d, f.N) != (g.d, g.N):
-        raise ValueError("series must share dimension and truncation order")
-    return compose_at(f, g, f.N)
-
-
 def mult_inverse(f):
     """Inverse for the convolution product; needs f in G^inv.
 
@@ -741,21 +746,27 @@ def _alt_eval(f, g, t, args):
 # every basis key.
 
 
-def _times_units(table, d):
-    """The tensor of (x_1..x_k, x) -> T(x_1..x_k) x, for T given by `table`.
+def _times_units(table, d, side):
+    """The tensor of (x, x_1..x_k) -> x T(x_1..x_k) (side 0) or
+    (x_1..x_k, x) -> T(x_1..x_k) x (side 1), for T given by `table`.
 
-    T(..) E_rs moves column r of T(..) to column s and zeroes the rest.
+    E_rs T(..) moves row s of T(..) to row r, and T(..) E_rs moves column r
+    to column s; each zeroes the rest.
     """
+    at = _lines(d, side)
     out = {}
     for key, vec in table.items():
-        for r in range(d):
-            col = vec[r::d]
-            if not any(col):
+        for src in range(d):
+            line = vec[at[src]]
+            if not any(line):
                 continue
-            for s in range(d):
+            for dst in range(d):
                 new = [0] * (d * d)
-                new[s::d] = col
-                out[key + (r * d + s,)] = new
+                new[at[dst]] = line
+                if side:
+                    out[key + (src * d + dst,)] = new
+                else:
+                    out[(dst * d + src,) + key] = new
     return out
 
 
@@ -854,7 +865,7 @@ class TreeTensors:
         if entry is None:
             table, den, w = self.value(s, parity, role)
             if table and self.x_at[(parity + w) & 1]:
-                table = _times_units(table, self.d)
+                table = _times_units(table, self.d, 1)
             entry = self._slots[key] = ((table, den), w)
         return entry
 
@@ -877,65 +888,96 @@ _ZERO_VALUE = ({}, 1, None)
 # red_n reads redred only below degree n - 1 and m_n reads m only below
 # degree n, so each output grows one degree per step on the integer kernel:
 # one _contract per composition, no tree walked.
+#
+# A series that absorbs its first argument, f = I.F (absorbed), is
+# contracted through F, whose degree-n table is d^2 times smaller than
+# f's at degree n + 1:
+#
+#   red = I.(F o Q),  so red_n = x (F o Q)_{n-1}
+#   m = k o P = P.(K o P) for k = I.K, so with m = I.M
+#       M_j = (K o P)_j + sum_{a=2}^{j+1} (M_{a-2}.x) (x) (K o P)_{j+1-a}
+#
+# The cumulants solve the second equation for K_j given M, through
+# (K o P)_j = K_j + (the composition over K below degree j).  None of these
+# contracts a table of the top degree, and for g = I.G boxconv reads box
+# and line off the same red/redred pass.
 
 
-def _times_x(m):
-    """The degree-(n+1) map (x_1..x_n, x) -> m(x_1..x_n) x of a degree-n
-    map; it moves the entries without changing them, so `den` stays the
-    least common denominator."""
-    return MultiMap._of(m.d, m.n + 1, _times_units(m.table, m.d), m.den)
+def _times_x(m, side):
+    """The degree-(n+1) map (x, x_1..x_n) -> x m(x_1..x_n) (side 0) or
+    (x_1..x_n, x) -> m(x_1..x_n) x (side 1) of a degree-n map; it moves the
+    entries without changing them, so `den` stays the least common
+    denominator."""
+    return MultiMap._of(m.d, m.n + 1, _times_units(m.table, m.d, side), m.den)
 
 
-def _red_and_redred(f, g, red_order, redred_order):
+def red_and_redred(f, g, F, red_order, redred_order):
     """red(f, g) through red_order and redred(f, g) through redred_order,
     as lists of maps, for red_order - 2 <= redred_order <= red_order: red_n
-    needs redred through degree n - 2, and redred_n needs red through n."""
+    needs redred through degree n - 2, and redred_n needs red through n.
+    boxconv reads its four variants off them; boxconv_by_trees is their
+    tree-sum definition.
+
+    F is absorbed(f, 0), read by the caller.  When it is not None, red =
+    I.R with R = F o Q, red_n = x R_{n-1}, and the list of R's maps is
+    returned third (through red_order - 1 for red_order >= 1); otherwise
+    the third value is None."""
     d = f.d
     x = (MultiMap.identity(d).table, 1)
     strip = [None] + [g[m + 1].unit_in_first_slot()
                       for m in range(1, redred_order + 1)]
     red = [MultiMap.zero(d, 0), f[1]]
     redred = [MultiMap.constant(g[1](AlgebraElement.unit(d)))]
-    q = [None]  # q[m] = (table, den) of Q_m
+    R = None if F is None else [F[0]]
+    q = [MultiMap.zero(d, 0)]  # q[m] = Q_m
     for n in range(1, red_order + 1):
         if n >= 2:
-            qm = _times_x(redred[n - 2])
-            q.append((qm.table, qm.den))
-            red.append(_merge(
-                (_contract(f[r + 1].table, f[r + 1].den,
-                           [x] + [q[m] for m in comp], d * d)
-                 for r in range(1, n) if not f[r + 1].is_zero()
-                 for comp in _compositions(n - 1, r)
-                 if all(q[m][0] for m in comp)), d, n))
+            q.append(_times_x(redred[n - 2], 1))
+            if F is not None:
+                R.append(_composition_degree(F.maps, q, 1, n - 1, d))
+                red.append(_times_x(R[n - 1], 0))
+            else:
+                red.append(_merge(
+                    (_contract(f[r + 1].table, f[r + 1].den,
+                               [x] + [(q[m].table, q[m].den) for m in comp],
+                               d * d)
+                     for r in range(1, n) if not f[r + 1].is_zero()
+                     for comp in _compositions(n - 1, r)
+                     if all(q[m].table for m in comp)), d, n))
         if n <= redred_order:
             redred.append(_composition_degree(strip, red, 1, n, d))
-    return red[:red_order + 1], redred
+    return red[:red_order + 1], redred, R
 
 
-def red_by_recursion(f, g, order):
-    """red(f, g) through `order`, degree by degree; boxconv("red", f, g)
-    returns it, and boxconv_by_trees is its tree-sum definition."""
-    red, _ = _red_and_redred(f, g, order, order - 2)
-    return TruncSeries(f.d, order, red)
-
-
-def redred_by_recursion(f, g, order):
-    """redred(f, g) through `order`, degree by degree, with redred_0 =
-    g_1(1)."""
-    _, redred = _red_and_redred(f, g, order, order)
-    return TruncSeries(f.d, order, redred)
+def _spine_tail(mx, kp, j, d):
+    """sum_{a=2}^{j+1} (M_{a-2}.x) (x) (K o P)_{j+1-a}, with mx[i] = M_i.x
+    and kp[i] = (K o P)_i: M_j minus (K o P)_j."""
+    return tensor_product_sum(((mx[a - 2], kp[j + 1 - a])
+                               for a in range(2, j + 2)), d, j)
 
 
 def moments_by_recursion(k):
     """The moment series m of the cumulant series k: m_n is the degree-n
-    part of k o P over the moments found so far, P_1 = I.  The tree sum
-    m_n = sum over n-vertex trees t of k_t defines it."""
+    part of k o P over the moments found so far, P_1 = I; for k = I.K, M_j
+    of m = I.M is (K o P)_j plus _spine_tail.  The tree sum m_n = sum over
+    n-vertex trees t of k_t defines it."""
     d = k.d
-    m = [MultiMap.zero(d, 0)]
+    K = absorbed(k, 0)
     p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
+    if K is not None:
+        kp, mx, M = [K[0]], [], []
+        for j in range(K.N + 1):
+            if j >= 1:
+                mx.append(_times_x(M[j - 1], 1))
+                if j >= 2:
+                    p.append(_times_x(mx[j - 2], 0))
+                kp.append(_composition_degree(K.maps, p, 1, j, d))
+            M.append(kp[j] + _spine_tail(mx, kp, j, d))
+        return absorb(TruncSeries(d, K.N, M), 0)
+    m = [MultiMap.zero(d, 0)]
     for n in range(1, k.N + 1):
         if n >= 2:
-            p.append(_times_x(m[n - 1]))
+            p.append(_times_x(m[n - 1], 1))
         m.append(_composition_degree(k.maps, p, 1, n, d))
     return TruncSeries(d, k.N, m)
 
@@ -943,10 +985,21 @@ def moments_by_recursion(k):
 def cumulants_by_recursion(m):
     """The cumulant series k with moments m, inverting moments_by_recursion
     degree by degree: k_n(P_1, ..., P_1) is the one term of (k o P)_n that
-    reads k_n, so k_n = m_n minus that composition over k below degree n."""
+    reads k_n, so k_n = m_n minus that composition over k below degree n.
+    For m = I.M, (K o P)_j = M_j minus _spine_tail, and K_j is that minus
+    the composition over K below degree j."""
     d = m.d
+    M = absorbed(m, 0)
     p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
-    p += [_times_x(m[j - 1]) for j in range(2, m.N + 1)]
+    if M is not None:
+        mx = [_times_x(M[j], 1) for j in range(M.N)]
+        p += [_times_x(mx[j - 2], 0) for j in range(2, M.N + 1)]
+        kp, K = [], []
+        for j in range(M.N + 1):
+            kp.append(M[j] + _spine_tail(mx, kp, j, d).scale(-1))
+            K.append(kp[j] + _composition_degree(K, p, 1, j, d).scale(-1))
+        return absorb(TruncSeries(d, M.N, K), 0)
+    p += [_times_x(m[j - 1], 1) for j in range(2, m.N + 1)]
     k = [MultiMap.zero(d, 0)]
     for n in range(1, m.N + 1):
         k.append(m[n] + _composition_degree(k, p, 1, n, d).scale(-1))
@@ -1052,8 +1105,7 @@ def random_series(rng, d, N, kind, bound=3):
         maps += [random_multimap(rng, d, n, bound) for n in range(2, N + 1)]
         return TruncSeries(d, N, maps)
     if kind == "gi":
-        h = random_series(rng, d, N - 1, "ginv", bound)
-        return mul_at(TruncSeries.identity(d, N), h, N)
+        return absorb(random_series(rng, d, N - 1, "ginv", bound), 0)
     if kind == "mult":
         maps = [MultiMap.zero(d, 0)]
         maps += [random_multimap(rng, d, n, bound) for n in range(1, N + 1)]

@@ -17,10 +17,10 @@ as S'.I.
 import random
 
 from .algebra import AlgebraElement
-from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorbed,
-                          comp_inverse, compose_at, is_gdif, is_gi, is_ginv,
-                          mul_at, mult_inverse, random_series,
-                          red_by_recursion, redred_by_recursion)
+from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
+                          absorbed, comp_inverse, compose_at, is_gdif, is_gi,
+                          is_ginv, mul_at, mult_inverse, random_series,
+                          red_and_redred)
 from .trees import enumerate_trees, rmap
 from .verify import Report
 
@@ -53,7 +53,7 @@ def boxconv(variant, f, g):
 
     boxconv_by_trees defines them as tree sums; this computes the same
     series degree by degree, on the composition identities behind them
-    (multiseries.red_by_recursion):
+    (multiseries.red_and_redred):
 
     variant   computed as                            degree 0
     box       g o red(f, g)                          g_0
@@ -64,18 +64,36 @@ def boxconv(variant, f, g):
     with Q = redred(f, g).I.  Degree n of 'redred' reads g at degree n+1,
     so its output is truncated one order lower than the inputs.  Each
     variant computes only the degrees of red and redred that it reads.
+
+    A series of the shape I.F is contracted through F.  For f = I.F,
+    red = I.R with R = F o Q.  For g = I.G, g o red = red.(G o red) gives
+    box = red(f, g).redred(f, g), which is I.(R.redred) when f = I.F too;
+    and red(g, f) = I.(G o Q') with Q' = redred(g, f).I gives line =
+    g o Q' = Q'.(G o Q') = redred(g, f).red(g, f).  Neither composes g.
     """
     _check_pair(variant, f, g)
-    N = f.N
+    d, N = f.d, f.N
+    if variant == "line":
+        G = absorbed(g, 0)
+        if G is None:
+            _, redred, _ = red_and_redred(g, f, None, N - 1, N - 1)
+            return compose_at(g, absorb(TruncSeries(d, N - 1, redred), 1), N)
+        red, redred, _ = red_and_redred(g, f, G, N, N - 1)
+        return mul_at(TruncSeries(d, N - 1, redred), TruncSeries(d, N, red), N)
+    F = absorbed(f, 0)
     if variant == "red":
-        return red_by_recursion(f, g, N)
+        return TruncSeries(d, N, red_and_redred(f, g, F, N, N - 2)[0])
     if variant == "redred":
-        return redred_by_recursion(f, g, N - 1)
-    if variant == "box":
-        return compose_at(g, red_by_recursion(f, g, N), N)
-    inner = mul_at(redred_by_recursion(g, f, N - 1),
-                   TruncSeries.identity(f.d, N), N)
-    return compose_at(g, inner, N)
+        return TruncSeries(d, N - 1,
+                           red_and_redred(f, g, F, N - 1, N - 1)[1])
+    if absorbed(g, 0) is None:
+        red, _, _ = red_and_redred(f, g, F, N, N - 2)
+        return compose_at(g, TruncSeries(d, N, red), N)
+    red, redred, R = red_and_redred(f, g, F, N, N - 1)
+    redred = TruncSeries(d, N - 1, redred)
+    if R is None:
+        return mul_at(TruncSeries(d, N, red), redred, N)
+    return absorb(mul_at(TruncSeries(d, N - 1, R), redred, N - 1), 0)
 
 
 def boxconv_by_trees(variant, f, g):
@@ -133,7 +151,7 @@ def _s_both_ways(f, rev):
     only below degree m, so S is its only solution and one check suffices."""
     order = f.N - 1
     s = strip_identity(rev)
-    inner = mul_at(TruncSeries.identity(f.d, order), s, order)
+    inner = absorb(s, 0).truncate(order)
     if mult_inverse(compose_at(strip_identity(f), inner, order)) != s:
         raise ArithmeticError("S does not solve its fixed-point equation")
     return s
@@ -160,13 +178,12 @@ def u_transform(f):
     """
     if not is_gi(f):
         raise ValueError("the U-transform needs a series of the I.F shape")
-    d, N = f.d, f.N
+    N = f.N
     rev = comp_inverse(f)
     s = _s_both_ways(f, rev)
-    ident = TruncSeries.identity(d, N)
-    u1 = mul_at(mul_at(mult_inverse(s), ident, N), s, N)
-    fi = mul_at(strip_identity(f), ident, N)
-    u2 = compose_at(fi, mul_at(ident, s, N), N)
+    u1 = mul_at(absorb(mult_inverse(s), 1), s, N)
+    fi = absorb(strip_identity(f), 1)
+    u2 = compose_at(fi, absorb(s, 0), N)
     u3 = compose_at(fi, rev, N)
     if not (u1 == u2 == u3):
         raise ArithmeticError("the three U-transform expressions disagree")
@@ -181,8 +198,7 @@ def s_prime(f):
     """
     if not is_gi(f):
         raise ValueError("the primed transform needs a series of the I.F shape")
-    N = f.N
-    h = comp_inverse(mul_at(strip_identity(f), TruncSeries.identity(f.d, N), N))
+    h = comp_inverse(absorb(strip_identity(f), 1))
     sp = absorbed(h, 1)
     if sp is None:
         raise ArithmeticError("the reversion of F.I does not factor as S'.I")
@@ -207,7 +223,6 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
         g = random_series(rng, d, N, "gi", bound=2)
         p = random_series(rng, d, N, "mult", bound=2)
         q = random_series(rng, d, N, "mult", bound=2)
-        ident = TruncSeries.identity(d, N)
 
         # composition factorizations hold for arbitrary zero-constant pairs;
         # box and line are the tree sums, red and redred the recursion, so
@@ -221,7 +236,7 @@ def verify_transform_identities(N=4, d=2, trials=20, seed=0):
             redred = boxconv("redred", a, b)
             compare(f"line-compose-{tag}",
                     "line(g,f) == compose(f, redred(f,g)*I)",
-                    line, compose_at(a, mul_at(redred, ident, N), N), params)
+                    line, compose_at(a, absorb(redred, 1), N), params)
 
         # the absorbing pass left box, red, redred and line(g,f) of (f, g)
         compare("box-mult-split",

@@ -1,10 +1,15 @@
 """The command-line surface: grammar, exit codes, determinism, round trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freeconv
 from freeconv.catalan import FAMILIES
 from freeconv.cli import main
 from freeconv.freeprob import CumulantSpec
@@ -273,3 +278,19 @@ def test_run_suite_falls_back_only_on_none():
     assert run_suite("bijections", order=0)["order"] == 0
     report = run_suite("all", order=1, dim=1, trials=0, seed=0)
     assert (report["order"], report["dim"], report["trials"]) == (1, 1, 0)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["verify", "--suite", "operad", "--order", "2", "--dim", "2",
+            "--trials", "1"]
+    src = str(Path(freeconv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "freeconv", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    via_m, via_main = json.loads(proc.stdout), json.loads(out)
+    via_m.pop("elapsed"), via_main.pop("elapsed")
+    assert via_m == via_main

@@ -13,6 +13,8 @@ linear term's inverse against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
 Outer series of the shapes I.F and F.I, which compose and revert through
 F, are checked against the same composition and reversion oracles at every
 order, raising exactly where compose_at's admissibility rule says.
+absorb(F, side) is checked against the products with I, and the
+recursions of I.F inputs are counted to contract no top-degree table.
 """
 
 import json
@@ -26,9 +28,10 @@ from hypothesis import given, settings, strategies as st
 from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
                               random_element_from)
 from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
-                                  absorbed, comp_inverse, compose_at, is_gi,
-                                  mul_at, mult_inverse, random_series,
-                                  tensor_product_sum)
+                                  absorb, absorbed, comp_inverse, compose_at,
+                                  cumulants_by_recursion, is_gi,
+                                  moments_by_recursion, mul_at, mult_inverse,
+                                  random_series, tensor_product_sum)
 from freeconv.transforms import boxconv, s_transform, strip_identity
 from freeconv.verify import verify_operad_identities
 import freeconv.multiseries as multiseries
@@ -371,6 +374,43 @@ def test_absorbing_series_compose_and_revert_below_the_top_degree(
         assert degrees and max(degrees) <= 3
 
 
+def test_stripped_recursions_contract_no_top_degree_table(monkeypatch):
+    # for I.F inputs red, box, line and the moments contract F, K and the
+    # stripped g, never a degree-N table of f, g or k; the cumulant solve
+    # reads K only below the degree it solves for
+    arities = []
+    real = multiseries._contract
+
+    def counted(fk_table, fk_den, parts, dd):
+        arities.append(len(parts))
+        return real(fk_table, fk_den, parts, dd)
+
+    monkeypatch.setattr(multiseries, "_contract", counted)
+    N = 4
+    rng = random.Random(9)
+    f = random_series(rng, 2, N, "gi")
+    g = random_series(rng, 2, N, "gi")
+    for call, limit in ((lambda: boxconv("red", f, g), N - 1),
+                        (lambda: boxconv("box", f, g), N - 1),
+                        (lambda: boxconv("line", f, g), N - 1),
+                        (lambda: moments_by_recursion(f), N - 1),
+                        (lambda: cumulants_by_recursion(f), N - 2)):
+        arities.clear()
+        call()
+        assert arities and max(arities) <= limit
+
+
+@pytest.mark.parametrize("d, order", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("kind", ["ginv", "gdif", "gi", "mult"])
+def test_absorb_is_the_product_with_the_identity(kind, d, order):
+    F = random_series(random.Random(f"absorb-{kind}-{d}"), d, order, kind)
+    ident = TruncSeries.identity(d, order + 1)
+    assert absorb(F, 0) == mul_at(ident, F, order + 1)
+    assert absorb(F, 1) == mul_at(F, ident, order + 1)
+    for side in (0, 1):
+        assert absorbed(absorb(F, side), side) == F
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["ginv", "gdif", "gi", "mult"]),
        shape=st.sampled_from(_SHAPES),
@@ -389,7 +429,7 @@ def test_sums_scaling_and_unit_slots_match_the_fraction_entry_oracles(
         assert a + a.scale(-1) == MultiMap.zero(d, n)
         if n:
             assert a.unit_in_first_slot() == _unit_in_slot(a, 0)
-            assert a.unit_in_last_slot() == _unit_in_slot(a, n - 1)
+            assert a._unit_in_slot(n - 1) == _unit_in_slot(a, n - 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -277,6 +277,18 @@ def test_boxconv_matches_the_per_key_sum(d, order, kind):
         assert boxconv_by_trees(variant, f, g) == expected
 
 
+@pytest.mark.parametrize("d,order", [(2, 4), (3, 3)])
+def test_boxconv_of_mixed_pairs_equals_its_tree_sum(d, order):
+    # one series I.F and one not: box and line take the stripped pass when
+    # g absorbs, red and redred when f does, and the composition otherwise
+    rng = random.Random(f"mixed-{d}-{order}")
+    gi = random_series(rng, d, order, "gi", bound=2)
+    mult = random_series(rng, d, order, "mult", bound=2)
+    for f, g in ((gi, mult), (mult, gi)):
+        for variant in BOX_VARIANTS:
+            assert boxconv(variant, f, g) == boxconv_by_trees(variant, f, g)
+
+
 @pytest.mark.parametrize("d,order", [(1, 6), (2, 3), (3, 2)])
 def test_conversions_match_the_per_key_sums(d, order):
     rng = random.Random(f"conv-{d}-{order}")
