@@ -20,10 +20,13 @@ checked constructor, evaluation's arguments and the inverse) and out of it
 through _to_element (evaluation's value and the ``tensor`` view).
 MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
 tests and both series inverses.  An outer series f = I.F or F.I, read by
-absorbed(f, side), composes as g.(F o g) or (F o g).g and reverts by solving
-that product equal to I degree by degree, so its top degree is never a sum
-over compositions; other outer series take that sum.  absorb(F, side)
-builds I.F or F.I back by moving entries.  The degree-by-degree recursions
+absorbed(f, side), composes as g.(F o g) or (F o g).g and reverts to I.S or
+S.I by solving S.(F o g) = 1 or (F o g).S = 1 for S degree by degree
+(revert_absorbed), so its top degree is never a sum over compositions and
+the reversion's products run on S; other outer series take that sum.
+absorb(F, side) builds I.F or F.I back by moving entries.  A product with
+the unit between its factors, A.I.B (mul_across), is an outer product of a
+column and a row per entry, with no sums.  The degree-by-degree recursions
 behind the boxed convolutions and the moment-cumulant conversions contract
 F in place of f = I.F in the same way.  Operations that mix
 two series of different truncation orders are rejected at the public
@@ -429,6 +432,8 @@ def is_gi(f):
 # (integer table, denominator) pairs.  The terms of a sum are merged over
 # one running common denominator (_merge), which reduces the result to the
 # least common denominator, drops zero vectors and returns the MultiMap.
+# Products take d x d matrix products (_products), but A.I.B takes outer
+# products of a column and a row (_sandwich), and I.(A.B) moves entries.
 
 def _merge(terms, d, n):
     """The degree-n map summing a stream of (integer table, denominator)
@@ -486,9 +491,38 @@ def _products(a, b, d):
     return out, a.den * b.den
 
 
+def _sandwich(a, b, d):
+    """(a (x) I (x) b)(x, E_pq, y) = a(x) E_pq b(y) for two maps: entry
+    (r, s) is a(x)_rp b(y)_qs, so each output vector is the outer product
+    of column p of a(x) with row q of b(y).  No sums; zero columns and
+    rows are skipped."""
+    out = {}
+    rows = [[] for _ in range(d)]
+    for kb, vb in b.table.items():
+        for q in range(d):
+            row = vb[q * d:(q + 1) * d]
+            if any(row):
+                rows[q].append((kb, row))
+    for ka, va in a.table.items():
+        for p in range(d):
+            col = va[p::d]
+            if not any(col):
+                continue
+            for q in range(d):
+                head = ka + (p * d + q,)
+                for kb, row in rows[q]:
+                    out[head + kb] = [x * y for x in col for y in row]
+    return out, a.den * b.den
+
+
 def tensor_product_sum(pairs, d, n):
     """The degree-n map summing a (x) b over pairs of maps."""
     return _merge((_products(a, b, d) for a, b in pairs), d, n)
+
+
+def _across_sum(pairs, d, n):
+    """The degree-n map summing a (x) I (x) b over pairs of maps."""
+    return _merge((_sandwich(a, b, d) for a, b in pairs), d, n)
 
 
 def mul_at(f, g, order):
@@ -498,18 +532,33 @@ def mul_at(f, g, order):
     k >= lead(f) down to n - g.N and g_{n-k} symmetrically, so the order is
     admissible iff order <= min(f.N + lead(g), g.N + lead(f)).
     """
+    return _mul(f, g, order, tensor_product_sum, 0)
+
+
+def mul_across(f, g, order):
+    """(f.I.g) to the given order: mul_at(absorb(f, 1), g, order), with the
+    same admissibility rule and error, but degree n sums
+    f_k(x_1..x_k) x_{k+1} g_{n-1-k}(rest) on _sandwich: no table of f.I is
+    built and no d x d product taken."""
+    return _mul(f, g, order, _across_sum, 1)
+
+
+def _mul(f, g, order, products, gap):
+    """f.g (gap 0) or f.I.g (gap 1), summed by `products`; f.I is one order
+    longer than f and leads one degree later."""
     if f.d != g.d:
         raise ValueError("dimension mismatch")
-    lf = f.lead()
-    lg = g.lead()
-    if order > f.N + (lg if lg is not None else order) or \
+    lf, lg, f_order = f.lead(), g.lead(), f.N + gap
+    if lf is not None:
+        lf += gap
+    if order > f_order + (lg if lg is not None else order) or \
        order > g.N + (lf if lf is not None else order):
         raise ValueError(f"order {order} not determined by inputs of orders "
-                         f"{f.N} and {g.N}")
+                         f"{f_order} and {g.N}")
     d = f.d
-    out = [tensor_product_sum(
-        ((f[k], g[n - k]) for k in range(max(0, n - g.N), min(n, f.N) + 1)), d, n)
-        for n in range(order + 1)]
+    out = [products(((f[k], g[n - gap - k]) for k in
+                     range(max(0, n - gap - g.N), min(n - gap, f.N) + 1)), d, n)
+           for n in range(order + 1)]
     return TruncSeries(d, order, out)
 
 
@@ -589,7 +638,9 @@ def compose_at(f, g, order):
 
     An outer f = I.F or F.I (absorbed) with order >= lead(g) composes as
     g.(F o g) or (F o g).g, F o g to order - lead(g); any other f sums f_k
-    over the compositions of each degree.
+    over the compositions of each degree.  An inner g = I.G or G.I turns
+    the product into I.(G.(F o g)) or ((F o g).G).I on the outer side, and
+    into G.I.(F o g) or (F o g).I.G (mul_across) on the seam.
     """
     if f.d != g.d:
         raise ValueError("dimension mismatch")
@@ -609,11 +660,29 @@ def compose_at(f, g, order):
         for side in (0, 1):
             F = absorbed(f, side)
             if F is not None:
-                fg = compose_at(F, g, order - lg)
-                return mul_at(fg, g, order) if side else mul_at(g, fg, order)
+                return _times_inner(compose_at(F, g, order - lg), g, side,
+                                    order)
     out = [f[0]] + [_composition_degree(f.maps, g.maps, 1, n, d)
                     for n in range(1, order + 1)]
     return TruncSeries(d, order, out)
+
+
+def _ordered(x, y, side):
+    """The factors of x.y (side 0) or y.x (side 1): x stands on the side of
+    the absorbed argument."""
+    return (y, x) if side else (x, y)
+
+
+def _times_inner(fg, g, side, order):
+    """g.fg (side 0) or fg.g (side 1) to the given order, the product of an
+    absorbing outer series' F o g with its inner series g."""
+    G = absorbed(g, side)
+    if G is not None:
+        return absorb(mul_at(*_ordered(G, fg, side), order - 1), side)
+    G = absorbed(g, 1 - side)
+    if G is not None:
+        return mul_across(*_ordered(G, fg, side), order)
+    return mul_at(*_ordered(g, fg, side), order)
 
 
 def mult_inverse(f):
@@ -640,12 +709,10 @@ def mult_inverse(f):
 def comp_inverse(f):
     """Inverse for composition; needs f in G^dif.
 
-    For f = I.F or F.I (absorbed), f o g = I reads g.(F o g) = I or
-    (F o g).g = I; with c = F_0^{-1}, g_1 = x c or c x, and g_n is
-    -(sum_{a<n} g_a (x) (F o g)_{n-a}) c or -c sum_{a<n} (F o g)_{n-a} (x) g_a,
-    each (F o g)_j built once, with -c multiplied in.  Otherwise g_1 =
-    f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ..., g_{m_k})),
-    -f_1^{-1} contracted into each f_k once, as an integer matrix.
+    For f = I.F or F.I (absorbed) the reversion is revert_absorbed(F, side).
+    Otherwise g_1 = f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ...,
+    g_{m_k})), -f_1^{-1} contracted into each f_k once, as an integer
+    matrix.
     """
     if not f[0].is_zero() or f.N < 1:
         raise ValueError("series is not compositionally invertible")
@@ -653,7 +720,7 @@ def comp_inverse(f):
     for side in (0, 1):
         F = absorbed(f, side)
         if F is not None:
-            return _revert_absorbed(F, side)
+            return revert_absorbed(F, side)
     try:
         g1 = f[1].inverse()
     except NotInvertibleError:
@@ -669,27 +736,27 @@ def comp_inverse(f):
     return TruncSeries(d, N, g)
 
 
-def _revert_absorbed(F, side):
-    """comp_inverse of I.F (side 0) or F.I (side 1), given F."""
+def revert_absorbed(F, side):
+    """comp_inverse of I.F (side 0) or F.I (side 1), given F: the series
+    g = I.S or S.I with g.(F o g) = I or (F o g).g = I, that is S.(F o g) = 1
+    or (F o g).S = 1.  With c = F_0^{-1}, S_0 = c and S_{n-1} is
+    sum_{a<n} S_{a-1} (x) (F o g)_{n-a} (-c) or its mirror, each (F o g)_j
+    built once with -c multiplied in, every product taken on S."""
     d, N = F.d, F.N + 1
     try:
         c = F[0].inverse()
     except NotInvertibleError:
         raise ValueError("series is not compositionally invertible") from None
     neg = c.scale(-1)
-
-    def pair(x, y):
-        # x is the absorbed argument's factor and y is F's: x y for I.F
-        return (y, x) if side else (x, y)
-
-    g = [MultiMap.zero(d, 0),
-         tensor_product_sum([pair(MultiMap.identity(d), c)], d, 1)]
+    S = [c]
+    g = [MultiMap.zero(d, 0), _times_x(c, side)]
     scaled = [None]
     for n in range(2, N + 1):
         fg = _composition_degree(F.maps, g, 1, n - 1, d)
-        scaled.append(tensor_product_sum([pair(fg, neg)], d, n - 1))
-        g.append(tensor_product_sum((pair(g[a], scaled[n - a])
-                                     for a in range(1, n)), d, n))
+        scaled.append(tensor_product_sum([_ordered(fg, neg, side)], d, n - 1))
+        S.append(tensor_product_sum((_ordered(S[a - 1], scaled[n - a], side)
+                                     for a in range(1, n)), d, n - 1))
+        g.append(_times_x(S[n - 1], side))
     return TruncSeries(d, N, g)
 
 
@@ -895,12 +962,13 @@ _ZERO_VALUE = ({}, 1, None)
 #
 #   red = I.(F o Q),  so red_n = x (F o Q)_{n-1}
 #   m = k o P = P.(K o P) for k = I.K, so with m = I.M
-#       M_j = (K o P)_j + sum_{a=2}^{j+1} (M_{a-2}.x) (x) (K o P)_{j+1-a}
+#       M_j = (K o P)_j + sum_{a=2}^{j+1} M_{a-2}.x.(K o P)_{j+1-a}
 #
 # The cumulants solve the second equation for K_j given M, through
-# (K o P)_j = K_j + (the composition over K below degree j).  None of these
-# contracts a table of the top degree, and for g = I.G boxconv reads box
-# and line off the same red/redred pass.
+# (K o P)_j = K_j + (the composition over K below degree j).  The sum is a
+# product across the unit (_sandwich).  None of these contracts a table of
+# the top degree, and for g = I.G boxconv reads box and line off the same
+# red/redred pass.
 
 
 def _times_x(m, side):
@@ -911,7 +979,7 @@ def _times_x(m, side):
     return MultiMap._of(m.d, m.n + 1, _times_units(m.table, m.d, side), m.den)
 
 
-def red_and_redred(f, g, F, red_order, redred_order):
+def red_and_redred(f, g, F, G, red_order, redred_order):
     """red(f, g) through red_order and redred(f, g) through redred_order,
     as lists of maps, for red_order - 2 <= redred_order <= red_order: red_n
     needs redred through degree n - 2, and redred_n needs red through n.
@@ -921,11 +989,13 @@ def red_and_redred(f, g, F, red_order, redred_order):
     F is absorbed(f, 0), read by the caller.  When it is not None, red =
     I.R with R = F o Q, red_n = x R_{n-1}, and the list of R's maps is
     returned third (through red_order - 1 for red_order >= 1); otherwise
-    the third value is None."""
+    the third value is None.  G is absorbed(g, 0) when the caller has read
+    it: its maps are strip_identity(g), which is otherwise read off g's unit
+    slots."""
     d = f.d
     x = (MultiMap.identity(d).table, 1)
-    strip = [None] + [g[m + 1].unit_in_first_slot()
-                      for m in range(1, redred_order + 1)]
+    strip = G.maps if G is not None else [None] + [
+        g[m + 1].unit_in_first_slot() for m in range(1, redred_order + 1)]
     red = [MultiMap.zero(d, 0), f[1]]
     redred = [MultiMap.constant(g[1](AlgebraElement.unit(d)))]
     R = None if F is None else [F[0]]
@@ -949,11 +1019,11 @@ def red_and_redred(f, g, F, red_order, redred_order):
     return red[:red_order + 1], redred, R
 
 
-def _spine_tail(mx, kp, j, d):
-    """sum_{a=2}^{j+1} (M_{a-2}.x) (x) (K o P)_{j+1-a}, with mx[i] = M_i.x
-    and kp[i] = (K o P)_i: M_j minus (K o P)_j."""
-    return tensor_product_sum(((mx[a - 2], kp[j + 1 - a])
-                               for a in range(2, j + 2)), d, j)
+def _spine_tail(M, kp, j, d):
+    """sum_{a=2}^{j+1} M_{a-2}.x.(K o P)_{j+1-a}, with kp[i] = (K o P)_i,
+    on _sandwich: M_j minus (K o P)_j."""
+    return _across_sum(((M[a - 2], kp[j + 1 - a]) for a in range(2, j + 2)),
+                       d, j)
 
 
 def moments_by_recursion(k):
@@ -965,14 +1035,13 @@ def moments_by_recursion(k):
     K = absorbed(k, 0)
     p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
     if K is not None:
-        kp, mx, M = [K[0]], [], []
+        kp, M = [K[0]], []
         for j in range(K.N + 1):
+            if j >= 2:
+                p.append(_times_x(_times_x(M[j - 2], 1), 0))
             if j >= 1:
-                mx.append(_times_x(M[j - 1], 1))
-                if j >= 2:
-                    p.append(_times_x(mx[j - 2], 0))
                 kp.append(_composition_degree(K.maps, p, 1, j, d))
-            M.append(kp[j] + _spine_tail(mx, kp, j, d))
+            M.append(kp[j] + _spine_tail(M, kp, j, d))
         return absorb(TruncSeries(d, K.N, M), 0)
     m = [MultiMap.zero(d, 0)]
     for n in range(1, k.N + 1):
@@ -992,11 +1061,10 @@ def cumulants_by_recursion(m):
     M = absorbed(m, 0)
     p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
     if M is not None:
-        mx = [_times_x(M[j], 1) for j in range(M.N)]
-        p += [_times_x(mx[j - 2], 0) for j in range(2, M.N + 1)]
+        p += [_times_x(_times_x(M[j - 2], 1), 0) for j in range(2, M.N + 1)]
         kp, K = [], []
         for j in range(M.N + 1):
-            kp.append(M[j] + _spine_tail(mx, kp, j, d).scale(-1))
+            kp.append(M[j] + _spine_tail(M, kp, j, d).scale(-1))
             K.append(kp[j] + _composition_degree(K, p, 1, j, d).scale(-1))
         return absorb(TruncSeries(d, M.N, K), 0)
     p += [_times_x(m[j - 1], 1) for j in range(2, m.N + 1)]

@@ -8,7 +8,8 @@ oracle; boxconv computes the same series degree by degree from the
 composition identities box = g o red and redred = strip_identity(g) o red,
 which walk no tree.  The S-transform of f = I.F is the series S with
 f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
-F.I instead.  No transform is returned unchecked: S comes from one
+F.I instead.  Each transform reads f's shape once, as F, and reverts I.F
+or F.I from F.  No transform is returned unchecked: S comes from one
 reversion of f and must solve its fixed-point equation S = (F o (I.S))^{-1},
 U is computed three ways, and S' is read off a reversion that must factor
 as S'.I.
@@ -18,9 +19,9 @@ import random
 
 from .algebra import AlgebraElement
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
-                          absorbed, comp_inverse, compose_at, is_gdif, is_gi,
-                          is_ginv, mul_at, mult_inverse, random_series,
-                          red_and_redred)
+                          absorbed, compose_at, is_gdif, is_gi, is_ginv,
+                          mul_across, mul_at, mult_inverse, random_series,
+                          red_and_redred, revert_absorbed)
 from .trees import enumerate_trees, rmap
 from .verify import Report
 
@@ -69,27 +70,30 @@ def boxconv(variant, f, g):
     red = I.R with R = F o Q.  For g = I.G, g o red = red.(G o red) gives
     box = red(f, g).redred(f, g), which is I.(R.redred) when f = I.F too;
     and red(g, f) = I.(G o Q') with Q' = redred(g, f).I gives line =
-    g o Q' = Q'.(G o Q') = redred(g, f).red(g, f).  Neither composes g.
+    g o Q' = Q'.(G o Q') = redred(g, f).I.(G o Q'), a product across the
+    unit (mul_across).  Neither composes g, and box strips g once.
     """
     _check_pair(variant, f, g)
     d, N = f.d, f.N
     if variant == "line":
         G = absorbed(g, 0)
         if G is None:
-            _, redred, _ = red_and_redred(g, f, None, N - 1, N - 1)
+            _, redred, _ = red_and_redred(g, f, None, None, N - 1, N - 1)
             return compose_at(g, absorb(TruncSeries(d, N - 1, redred), 1), N)
-        red, redred, _ = red_and_redred(g, f, G, N, N - 1)
-        return mul_at(TruncSeries(d, N - 1, redred), TruncSeries(d, N, red), N)
+        _, redred, R = red_and_redred(g, f, G, None, N, N - 1)
+        return mul_across(TruncSeries(d, N - 1, redred),
+                          TruncSeries(d, N - 1, R), N)
     F = absorbed(f, 0)
     if variant == "red":
-        return TruncSeries(d, N, red_and_redred(f, g, F, N, N - 2)[0])
+        return TruncSeries(d, N, red_and_redred(f, g, F, None, N, N - 2)[0])
     if variant == "redred":
         return TruncSeries(d, N - 1,
-                           red_and_redred(f, g, F, N - 1, N - 1)[1])
-    if absorbed(g, 0) is None:
-        red, _, _ = red_and_redred(f, g, F, N, N - 2)
+                           red_and_redred(f, g, F, None, N - 1, N - 1)[1])
+    G = absorbed(g, 0)
+    if G is None:
+        red, _, _ = red_and_redred(f, g, F, None, N, N - 2)
         return compose_at(g, TruncSeries(d, N, red), N)
-    red, redred, R = red_and_redred(f, g, F, N, N - 1)
+    red, redred, R = red_and_redred(f, g, F, G, N, N - 1)
     redred = TruncSeries(d, N - 1, redred)
     if R is None:
         return mul_at(TruncSeries(d, N, red), redred, N)
@@ -145,14 +149,21 @@ def strip_identity(f):
                        [f[m + 1].unit_in_first_slot() for m in range(f.N)])
 
 
-def _s_both_ways(f, rev):
+def _stripped(f, name):
+    """F of f = I.F with F in G^inv: the one read of f's shape."""
+    F = absorbed(f, 0)
+    if F is None or not is_ginv(F):
+        raise ValueError(f"the {name} needs a series of the I.F shape")
+    return F
+
+
+def _s_both_ways(F, rev):
     """S read off the reversion rev = f^{o-1} = I.S and checked against
     S = (F o (I.S))^{-1}, f = I.F.  Degree m of the right-hand side reads S
     only below degree m, so S is its only solution and one check suffices."""
-    order = f.N - 1
     s = strip_identity(rev)
-    inner = absorb(s, 0).truncate(order)
-    if mult_inverse(compose_at(strip_identity(f), inner, order)) != s:
+    inner = absorb(s, 0).truncate(F.N)
+    if mult_inverse(compose_at(F, inner, F.N)) != s:
         raise ArithmeticError("S does not solve its fixed-point equation")
     return s
 
@@ -163,28 +174,26 @@ def s_transform(f):
     Solved once, by reverting f and stripping the identity, and checked
     against the fixed-point equation S = (F o (I.S))^{-1}.
     """
-    if not is_gi(f):
-        raise ValueError("the S-transform needs a series of the I.F shape")
-    return _s_both_ways(f, comp_inverse(f))
+    F = _stripped(f, "S-transform")
+    return _s_both_ways(F, revert_absorbed(F, 0))
 
 
 def u_transform(f):
     """S^{-1}.I.S, computed three ways and cross-checked.
 
-    The alternatives are (F.I) o (I.S) and (F.I) o f^{o-1}; all three agree
-    degree by degree.  Lands in the composition group, same order as f.
-    One reversion of f serves both the S route that strips it and the third
-    expression.
+    The alternatives are (F.I) o (I.S) = (F o (I.S)).I.S and
+    (F.I) o f^{o-1}; all three agree degree by degree.  Lands in the
+    composition group, same order as f.  f's shape is read once, and one
+    reversion of f serves both the S route that strips it and the third
+    expression.  The two products across the unit run on mul_across.
     """
-    if not is_gi(f):
-        raise ValueError("the U-transform needs a series of the I.F shape")
+    F = _stripped(f, "U-transform")
     N = f.N
-    rev = comp_inverse(f)
-    s = _s_both_ways(f, rev)
-    u1 = mul_at(absorb(mult_inverse(s), 1), s, N)
-    fi = absorb(strip_identity(f), 1)
-    u2 = compose_at(fi, absorb(s, 0), N)
-    u3 = compose_at(fi, rev, N)
+    rev = revert_absorbed(F, 0)
+    s = _s_both_ways(F, rev)
+    u1 = mul_across(mult_inverse(s), s, N)
+    u2 = mul_across(compose_at(F, absorb(s, 0), N - 1), s, N)
+    u3 = compose_at(absorb(F, 1), rev, N)
     if not (u1 == u2 == u3):
         raise ArithmeticError("the three U-transform expressions disagree")
     return u1
@@ -193,12 +202,11 @@ def u_transform(f):
 def s_prime(f):
     """S' with S'.I = (F.I)^{o-1}, for f = I.F; one order shorter than f.
 
-    The reversion of F.I absorbs its last argument on the right; S' is read
-    off it by absorbed(h, 1), which also checks that it factors as S'.I.
+    f's shape is read once, and F.I is reverted from F.  The reversion
+    absorbs its last argument on the right; S' is read off it by
+    absorbed(h, 1), which also checks that it factors as S'.I.
     """
-    if not is_gi(f):
-        raise ValueError("the primed transform needs a series of the I.F shape")
-    h = comp_inverse(absorb(strip_identity(f), 1))
+    h = revert_absorbed(_stripped(f, "primed transform"), 1)
     sp = absorbed(h, 1)
     if sp is None:
         raise ArithmeticError("the reversion of F.I does not factor as S'.I")

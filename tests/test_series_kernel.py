@@ -13,8 +13,11 @@ linear term's inverse against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
 Outer series of the shapes I.F and F.I, which compose and revert through
 F, are checked against the same composition and reversion oracles at every
 order, raising exactly where compose_at's admissibility rule says.
-absorb(F, side) is checked against the products with I, and the
-recursions of I.F inputs are counted to contract no top-degree table.
+absorb(F, side) is checked against the products with I, mul_across(A, B)
+against mul_at(A.I, B), and the recursions of I.F inputs are counted to
+contract no top-degree table.  The reversions and U's expressions are
+counted to take no dense product at the top degree, and the transforms to
+read the shape of f once.
 """
 
 import json
@@ -30,8 +33,9 @@ from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
 from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
                                   absorb, absorbed, comp_inverse, compose_at,
                                   cumulants_by_recursion, is_gi,
-                                  moments_by_recursion, mul_at, mult_inverse,
-                                  random_series, tensor_product_sum)
+                                  moments_by_recursion, mul_across, mul_at,
+                                  mult_inverse, random_series,
+                                  tensor_product_sum)
 from freeconv.transforms import boxconv, s_transform, strip_identity
 from freeconv.verify import verify_operad_identities
 import freeconv.multiseries as multiseries
@@ -299,22 +303,35 @@ def _series_of(rng, d, N, name):
         return TruncSeries.zero(d, N)
     if name == "I":
         return TruncSeries.identity(d, N)
+    if name == "F.I":
+        return absorb(random_series(rng, d, N - 1, "ginv"), 1)
     return random_series(rng, d, N, name)
+
+
+def _top_entry_dropped(f):
+    """f with the first entry of its top degree gone; for d >= 2 an I.F or
+    F.I series loses its shape."""
+    top = dict(f[f.N].tensor)
+    del top[min(top)]
+    return TruncSeries(f.d, f.N, f.maps[:f.N] + (MultiMap(f.d, f.N, top),))
 
 
 @settings(max_examples=100, deadline=None)
 @given(outer=st.sampled_from(["I.F", "F.I", "zero", "I"]),
        kind=st.sampled_from(["gi", "ginv", "mult"]),
-       inner=st.sampled_from(["gdif", "gi", "mult", "zero", "I"]),
+       inner=st.sampled_from(["gdif", "gi", "F.I", "mult", "zero", "I"]),
        inner_lead=st.sampled_from([1, 2]), gap=st.booleans(),
+       inner_gap=st.booleans(),
        shape=st.sampled_from([(d, N) for d, N in _SHAPES if N >= 2]),
        seed=st.integers(0, 2 ** 16))
 def test_absorbing_outer_series_match_the_oracles_at_every_order(
-        outer, kind, inner, inner_lead, gap, shape, seed):
+        outer, kind, inner, inner_lead, gap, inner_gap, shape, seed):
     # I.F and F.I compose and revert through F; F of kind gi or mult has
     # F_0 = 0, so f_1 = 0, f is not invertible and g is read past its order.
     # With a gap, one entry of the top degree is gone: every line of f is
-    # still right, but for d >= 2 f has lost its shape
+    # still right, but for d >= 2 f has lost its shape.  An inner gi (I.G)
+    # or F.I (G.I) meets the outer series on its outer side or on the seam,
+    # and an inner gap takes that shape away again
     d, N = shape
     rng = random.Random(seed)
     if outer in ("I.F", "F.I"):
@@ -326,14 +343,14 @@ def test_absorbing_outer_series_match_the_oracles_at_every_order(
     else:
         f = _series_of(rng, d, N, outer)
     if gap and not f[N].is_zero():
-        top = dict(f[N].tensor)
-        del top[min(top)]
-        f = TruncSeries(d, N, f.maps[:N] + (MultiMap(d, N, top),))
+        f = _top_entry_dropped(f)
     g = _series_of(rng, d, N, inner)
     if inner_lead == 2:
         g = TruncSeries(d, N, [MultiMap.zero(d, 0), MultiMap.zero(d, 1)]
                         + list(g.maps[2:]))
     g = g.truncate(rng.randint(1, N))
+    if inner_gap and not g[g.N].is_zero():
+        g = _top_entry_dropped(g)
     for order in range(N + 1):
         if _composition_admissible(f, g, order):
             assert compose_at(f, g, order) == _compose_at(f, g, order)
@@ -400,6 +417,46 @@ def test_stripped_recursions_contract_no_top_degree_table(monkeypatch):
         assert arities and max(arities) <= limit
 
 
+def test_products_across_the_unit_take_no_top_degree_product(monkeypatch):
+    # the reversions multiply S, one degree below the reversion, and U's
+    # expressions multiply across the unit; a dense product with N
+    # arguments means a table of f.I or I.S was multiplied
+    degrees = []
+    real = multiseries._products
+
+    def counted(a, b, d):
+        degrees.append(a.n + b.n)
+        return real(a, b, d)
+
+    monkeypatch.setattr(multiseries, "_products", counted)
+    N = 4
+    f = random_series(random.Random(10), 2, N, "gi")
+    for call in (lambda: comp_inverse(f),
+                 lambda: comp_inverse(absorb(absorbed(f, 0), 1)),
+                 lambda: transforms.u_transform(f)):
+        degrees.clear()
+        call()
+        assert degrees and max(degrees) < N
+
+
+def test_transforms_read_the_shape_of_f_once(monkeypatch):
+    f = random_series(random.Random(11), 2, 3, "gi")
+    reads = []
+    real = multiseries.absorbed
+
+    def counted(g, side):
+        reads.append(g == f)
+        return real(g, side)
+
+    monkeypatch.setattr(multiseries, "absorbed", counted)
+    monkeypatch.setattr(transforms, "absorbed", counted)
+    for op in (transforms.s_transform, transforms.u_transform,
+               transforms.s_prime):
+        reads.clear()
+        op(f)
+        assert reads.count(True) == 1
+
+
 @pytest.mark.parametrize("d, order", [(1, 4), (2, 3), (3, 2)])
 @pytest.mark.parametrize("kind", ["ginv", "gdif", "gi", "mult"])
 def test_absorb_is_the_product_with_the_identity(kind, d, order):
@@ -409,6 +466,28 @@ def test_absorb_is_the_product_with_the_identity(kind, d, order):
     assert absorb(F, 1) == mul_at(F, ident, order + 1)
     for side in (0, 1):
         assert absorbed(absorb(F, side), side) == F
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.tuples(*[st.sampled_from(["ginv", "gdif", "gi", "mult",
+                                          "zero"])] * 2),
+       shape=st.sampled_from(_SHAPES), seed=st.integers(0, 2 ** 16))
+def test_mul_across_matches_mul_at_of_a_times_the_unit(kinds, shape, seed):
+    # A.I.B on outer products equals mul_at(A.I, B) at every order, and
+    # raises where that product is not determined by the two truncations
+    d, N = shape
+    rng = random.Random(seed)
+    a, b = (_series_of(rng, d, rng.randint(1, N), kind) for kind in kinds)
+    for order in range(N + 2):
+        try:
+            expected = mul_at(absorb(a, 1), b, order)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                mul_across(a, b, order)
+            assert "not determined" in str(err)
+            assert str(raised.value) == str(err)
+        else:
+            assert mul_across(a, b, order) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -576,18 +655,19 @@ def test_zero_coordinates_are_the_int_zero():
 
 
 def test_u_transform_reverts_f_once(monkeypatch):
+    # f = I.F is reverted from F, so the one reversion is of (F, side 0)
     calls = []
-    real = transforms.comp_inverse
+    real = transforms.revert_absorbed
 
-    def counted(f):
-        calls.append(f)
-        return real(f)
+    def counted(F, side):
+        calls.append((F, side))
+        return real(F, side)
 
-    monkeypatch.setattr(transforms, "comp_inverse", counted)
+    monkeypatch.setattr(transforms, "revert_absorbed", counted)
     f = random_series(random.Random(4), 2, 3, "gi")
     assert is_gi(f)
     transforms.u_transform(f)
-    assert calls == [f]
+    assert calls == [(absorbed(f, 0), 0)]
 
 
 @pytest.mark.parametrize("op, composes", [("s_transform", 1),
@@ -605,10 +685,10 @@ def test_s_is_solved_once(monkeypatch, op, composes):
             return real(*args)
         return call
 
-    for name in ("comp_inverse", "compose_at"):
+    for name in ("revert_absorbed", "compose_at"):
         monkeypatch.setattr(transforms, name, counted(name))
     getattr(transforms, op)(random_series(random.Random(4), 2, 3, "gi"))
-    assert sorted(calls) == ["comp_inverse"] + ["compose_at"] * composes
+    assert sorted(calls) == ["compose_at"] * composes + ["revert_absorbed"]
 
 
 def test_operad_suite_checks_each_series_once(monkeypatch):

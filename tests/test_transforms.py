@@ -5,7 +5,7 @@ import random
 import pytest
 
 from freeconv.algebra import AlgebraElement, random_element_from
-from freeconv.multiseries import (MultiMap, TruncSeries, comp_inverse,
+from freeconv.multiseries import (MultiMap, TruncSeries, absorb, comp_inverse,
                                   compose_at, is_gdif, is_gi, is_ginv, mul_at,
                                   mult_inverse, random_series)
 from freeconv.transforms import (BOX_VARIANTS, boxconv, s_prime, s_transform,
@@ -125,6 +125,14 @@ def test_transforms_reject_non_absorbing_series():
             op(f)
 
 
+def test_transforms_need_an_invertible_stripped_constant():
+    # f = I.F with F_0 = 0 has the shape, but F is not in G^inv
+    f = absorb(random_series(random.Random(21), D, N - 1, "mult"), 0)
+    for op in (s_transform, u_transform, s_prime):
+        with pytest.raises(ValueError, match="I.F shape"):
+            op(f)
+
+
 def test_u_transform_is_the_conjugated_identity():
     f = random_series(random.Random(14), D, N, "gi")
     s = s_transform(f)
@@ -151,9 +159,9 @@ def test_s_prime_defining_property():
 # -- each runtime check fires on a corrupted reversion ---------------------------
 
 def _corrupt_reversions(monkeypatch, corrupt):
-    real = transforms.comp_inverse
-    monkeypatch.setattr(transforms, "comp_inverse",
-                        lambda f: corrupt(real(f)))
+    real = transforms.revert_absorbed
+    monkeypatch.setattr(transforms, "revert_absorbed",
+                        lambda F, side: corrupt(real(F, side)))
 
 
 def _degree_two_doubled(h):
