@@ -11,8 +11,12 @@ f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
 F.I instead.  Each transform reads f's shape once, as F, and reverts I.F
 or F.I from F.  No transform is returned unchecked: S comes from one
 reversion of f and must solve its fixed-point equation S = (F o (I.S))^{-1},
-U is computed three ways, and S' is read off a reversion that must factor
-as S'.I.
+and S' is read off a reversion that must factor as S'.I.  U's three
+expressions S^{-1}.I.S, (F o (I.S)).I.S and (F.I) o f^{o-1} agree exactly
+when S passes that check and the reversion has the shape I.S, since
+X -> X.I.S (S_0 invertible) and X -> (F.I) o X (zero-constant X) are
+injective; so U is checked by those two and computed as one product across
+the unit.
 """
 
 import random
@@ -157,15 +161,15 @@ def _stripped(f, name):
     return F
 
 
-def _s_both_ways(F, rev):
-    """S read off the reversion rev = f^{o-1} = I.S and checked against
-    S = (F o (I.S))^{-1}, f = I.F.  Degree m of the right-hand side reads S
-    only below degree m, so S is its only solution and one check suffices."""
-    s = strip_identity(rev)
-    inner = absorb(s, 0).truncate(F.N)
-    if mult_inverse(compose_at(F, inner, F.N)) != s:
+def _s_both_ways(F, s):
+    """S, read off the reversion f^{o-1} = I.S, checked against
+    S = (F o (I.S))^{-1}, f = I.F; returns S and C = F o (I.S).  Degree m of
+    the right-hand side reads S only below degree m, so S is its only
+    solution and one check suffices; once it passes, C is S^{-1}."""
+    C = compose_at(F, absorb(s, 0).truncate(F.N), F.N)
+    if mult_inverse(C) != s:
         raise ArithmeticError("S does not solve its fixed-point equation")
-    return s
+    return s, C
 
 
 def s_transform(f):
@@ -175,28 +179,30 @@ def s_transform(f):
     against the fixed-point equation S = (F o (I.S))^{-1}.
     """
     F = _stripped(f, "S-transform")
-    return _s_both_ways(F, revert_absorbed(F, 0))
+    return _s_both_ways(F, strip_identity(revert_absorbed(F, 0)))[0]
 
 
 def u_transform(f):
-    """S^{-1}.I.S, computed three ways and cross-checked.
+    """S^{-1}.I.S, which equals (F.I) o (I.S) = (F o (I.S)).I.S and
+    (F.I) o f^{o-1}; lands in the composition group, same order as f.
 
-    The alternatives are (F.I) o (I.S) = (F o (I.S)).I.S and
-    (F.I) o f^{o-1}; all three agree degree by degree.  Lands in the
-    composition group, same order as f.  f's shape is read once, and one
-    reversion of f serves both the S route that strips it and the third
-    expression.  The two products across the unit run on mul_across.
+    The three expressions can differ only where two injective maps meet.
+    X -> X.I.S is injective when S_0 is invertible (if X and X' first
+    differ at degree k, X.I.S and X'.I.S first differ at degree k + 1, by
+    (X - X')_k(...) x S_0), so the first two agree exactly when
+    S^{-1} = F o (I.S): S's fixed-point check.  Composing on the left with
+    F.I, which is in G^dif, is injective on zero-constant series, so the
+    last two agree exactly when the reversion is I.S: absorbed(rev, 0)
+    reads S and tests that shape in one pass.  So f's shape is read once,
+    f is reverted once, F o (I.S) is composed once, and one product across
+    the unit (mul_across) gives U.
     """
     F = _stripped(f, "U-transform")
-    N = f.N
-    rev = revert_absorbed(F, 0)
-    s = _s_both_ways(F, rev)
-    u1 = mul_across(mult_inverse(s), s, N)
-    u2 = mul_across(compose_at(F, absorb(s, 0), N - 1), s, N)
-    u3 = compose_at(absorb(F, 1), rev, N)
-    if not (u1 == u2 == u3):
+    s = absorbed(revert_absorbed(F, 0), 0)
+    if s is None:
         raise ArithmeticError("the three U-transform expressions disagree")
-    return u1
+    C = _s_both_ways(F, s)[1]
+    return mul_across(C, s, f.N)
 
 
 def s_prime(f):

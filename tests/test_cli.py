@@ -14,6 +14,7 @@ from freeconv.catalan import FAMILIES
 from freeconv.cli import main
 from freeconv.freeprob import CumulantSpec
 from freeconv.multiseries import TruncSeries, random_series
+from freeconv.transforms import u_transform
 from freeconv.verify import run_suite
 
 
@@ -203,6 +204,16 @@ def test_convolve_and_transform_emit_valid_series(capsys, series_files):
     code, out, _ = run(capsys, "stransform", "--f", series_files["f"])
     assert code == 0
     assert TruncSeries.from_json(json.loads(out)).N == 2
+
+
+def test_utransform_prints_the_u_transform(capsys, series_files):
+    code, out, _ = run(capsys, "utransform", "--f", series_files["f"])
+    assert code == 0
+    with open(series_files["f"]) as fh:
+        f = TruncSeries.from_json(json.load(fh))
+    expected = u_transform(f).to_json()
+    assert out == json.dumps(expected, sort_keys=True,
+                             separators=(",", ":")) + "\n"
 
 
 def test_convolve_rejects_wrong_class_for_transform(capsys, series_files,

@@ -670,11 +670,8 @@ def test_u_transform_reverts_f_once(monkeypatch):
     assert calls == [(absorbed(f, 0), 0)]
 
 
-@pytest.mark.parametrize("op, composes", [("s_transform", 1),
-                                          ("u_transform", 3)])
-def test_s_is_solved_once(monkeypatch, op, composes):
-    # one reversion gives S, and one composition checks its fixed point;
-    # u_transform composes twice more for its other two expressions
+def _transform_calls(monkeypatch, names):
+    """Names of the `transforms` functions among `names` called, in order."""
     calls = []
 
     def counted(name):
@@ -685,10 +682,26 @@ def test_s_is_solved_once(monkeypatch, op, composes):
             return real(*args)
         return call
 
-    for name in ("revert_absorbed", "compose_at"):
+    for name in names:
         monkeypatch.setattr(transforms, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("op", ["s_transform", "u_transform"])
+def test_s_is_solved_once(monkeypatch, op):
+    # one reversion gives S, and one composition checks its fixed point;
+    # u_transform multiplies that composition, S^{-1}, across the unit
+    calls = _transform_calls(monkeypatch, ("revert_absorbed", "compose_at"))
     getattr(transforms, op)(random_series(random.Random(4), 2, 3, "gi"))
-    assert sorted(calls) == ["compose_at"] * composes + ["revert_absorbed"]
+    assert sorted(calls) == ["compose_at", "revert_absorbed"]
+
+
+def test_u_transform_multiplies_across_the_unit_once(monkeypatch):
+    # one mult_inverse checks S's fixed point, and one product gives U
+    calls = _transform_calls(monkeypatch,
+                             ("mul_across", "mult_inverse", "mul_at"))
+    transforms.u_transform(random_series(random.Random(4), 2, 3, "gi"))
+    assert sorted(calls) == ["mul_across", "mult_inverse"]
 
 
 def test_operad_suite_checks_each_series_once(monkeypatch):

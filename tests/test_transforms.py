@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.algebra import AlgebraElement, random_element_from
-from freeconv.multiseries import (MultiMap, TruncSeries, absorb, comp_inverse,
-                                  compose_at, is_gdif, is_gi, is_ginv, mul_at,
-                                  mult_inverse, random_series)
+from freeconv.multiseries import (MultiMap, TruncSeries, absorb, absorbed,
+                                  comp_inverse, compose_at, is_gdif, is_gi,
+                                  is_ginv, mul_at, mult_inverse,
+                                  random_multimap, random_series,
+                                  revert_absorbed)
 from freeconv.transforms import (BOX_VARIANTS, boxconv, s_prime, s_transform,
                                  strip_identity, u_transform,
                                  verify_transform_identities)
@@ -143,6 +146,31 @@ def test_u_transform_is_the_conjugated_identity():
     assert is_gdif(u)
 
 
+def _u_three_ways(f, rev):
+    """U's three expressions, built as criterion 5 builds them, with mul_at
+    and the identity series: S^{-1}.I.S, (F.I) o (I.S) and (F.I) o rev, for
+    S = strip_identity(rev) and the reversion rev of f = I.F."""
+    N = f.N
+    ident = TruncSeries.identity(f.d, N)
+    s = strip_identity(rev)
+    fi = mul_at(strip_identity(f), ident, N)
+    return (mul_at(mul_at(mult_inverse(s), ident, N), s, N),
+            compose_at(fi, mul_at(ident, s, N), N),
+            compose_at(fi, rev, N))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(d, N) for d in (1, 2, 3)
+                              for N in range(1, 6) if d < 3 or N <= 3]),
+       identity=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_u_transform_equals_its_three_expressions(shape, identity, seed):
+    d, N = shape
+    f = (TruncSeries.identity(d, N) if identity
+         else random_series(random.Random(seed), d, N, "gi", bound=2))
+    u1, u2, u3 = _u_three_ways(f, comp_inverse(f))
+    assert u1 == u2 == u3 == u_transform(f)
+
+
 def test_u_transform_is_trivial_in_the_scalar_case():
     f = random_series(random.Random(15), 1, 4, "gi")
     assert u_transform(f) == TruncSeries.identity(1, 4)
@@ -194,6 +222,72 @@ def test_u_transform_expressions_check_fires(monkeypatch):
     _corrupt_reversions(monkeypatch, _commutator_added)
     with pytest.raises(ArithmeticError, match="three U-transform"):
         u_transform(f)
+
+
+def _degree_k(h, k, m):
+    return TruncSeries(h.d, h.N, [m if n == k else h[n]
+                                  for n in range(h.N + 1)])
+
+
+def _doubled(h, k):
+    return _degree_k(h, k, h[k].scale(2))
+
+
+def _random_added(h, k):
+    return _degree_k(h, k, h[k] + random_multimap(random.Random(k), h.d, k,
+                                                   bound=2))
+
+
+def _entry_dropped(h, k):
+    tensor = dict(h[k].tensor)
+    del tensor[min(tensor)]
+    return _degree_k(h, k, MultiMap(h.d, k, tensor))
+
+
+def _commutator(h, k):
+    assert k == 2
+    return _commutator_added(h)
+
+
+_CORRUPTIONS = ([(_doubled, k) for k in range(4)]
+                + [(_random_added, k) for k in range(4)]
+                + [(_entry_dropped, k) for k in range(1, 4)]
+                + [(_commutator, 2)])
+
+
+@pytest.mark.parametrize("corrupt, k", _CORRUPTIONS,
+                         ids=[f"{c.__name__.strip('_')}-{k}"
+                              for c, k in _CORRUPTIONS])
+@pytest.mark.parametrize("d", [2, 3])
+def test_u_transform_fails_exactly_where_an_expression_differs(
+        monkeypatch, d, corrupt, k):
+    # the fixed-point check and the reversion's shape stand in for the
+    # three-way comparison; rebuild that comparison on the corrupted
+    # reversion and require the same verdict and the same series
+    f = random_series(random.Random(f"corrupt-{d}"), d, 3, "gi", bound=2)
+    F = absorbed(f, 0)
+    rev = corrupt(revert_absorbed(F, 0), k)
+    s = strip_identity(rev)
+    fixed_point = mult_inverse(compose_at(F, absorb(s, 0).truncate(2), 2)) == s
+    _corrupt_reversions(monkeypatch, lambda h: corrupt(h, k))
+    if not fixed_point:
+        # a reversion that has lost the I.S shape as well fails that first
+        with pytest.raises(ArithmeticError):
+            u_transform(f)
+        return
+    if not rev[0].is_zero():
+        # (F.I) o rev is undefined; this now fails the I.S shape read
+        with pytest.raises(ValueError, match="zero constant term"):
+            _u_three_ways(f, rev)
+        with pytest.raises(ArithmeticError, match="three U-transform"):
+            u_transform(f)
+        return
+    u1, u2, u3 = _u_three_ways(f, rev)
+    if u1 == u2 == u3:
+        assert u_transform(f) == u1
+    else:
+        with pytest.raises(ArithmeticError, match="three U-transform"):
+            u_transform(f)
 
 
 def test_s_prime_shape_check_fires(monkeypatch):
