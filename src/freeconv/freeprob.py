@@ -27,12 +27,11 @@ from itertools import product as _cartesian
 
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
-                          alt_tree_eval, comp_inverse, compose_at,
-                          cumulants_by_recursion,
-                          is_gi, moments_by_recursion, mul_at,
-                          random_multimap, random_series, tree_eval)
-from .transforms import (boxconv, s_prime, s_transform, strip_identity,
-                         u_transform)
+                          absorb_at, alt_tree_eval, comp_inverse, compose_at,
+                          cumulants_by_recursion, gi_stripped, is_ginv,
+                          moments_by_recursion, mul_at, random_multimap,
+                          random_series, tree_eval)
+from .transforms import boxconv, s_prime, s_transform, u_transform
 from .trees import (BE, BO, LEAF, NONE, SINGLE, classify, comb_decompose,
                     enumerate_trees, parity_trees, pi_set, right_comb, size,
                     splits, substitute, wedge, yb_set)
@@ -46,16 +45,28 @@ class CumulantSpec:
     word x1 a x2 a ... xn a; as moments (the name MomentSpec), to
     E(x1 a x2 a ... xn a).  Either series must have the left-module shape
     x1 * (rest) with an invertible first coefficient; the latter is the
-    standing invertibility assumption behind the S-transform.
+    standing invertibility assumption behind the S-transform.  The
+    constructor reads F of series = I.F once and keeps it as ``stripped``.
     """
 
-    __slots__ = ("series",)
+    __slots__ = ("series", "stripped")
 
     def __init__(self, series):
-        if not is_gi(series):
+        F = gi_stripped(series)
+        if F is None:
             raise ValueError("cumulant and moment series must have the shape "
                              "I.g with g(1) invertible")
-        self.series = series
+        self.series, self.stripped = series, F
+
+    @classmethod
+    def _of_stripped(cls, F):
+        """The spec of I.F, for an F that a conversion computed: F_0 must be
+        invertible, and I.F is built from F, not read back."""
+        if not is_ginv(F):
+            raise ValueError("the stripped series needs an invertible F_0")
+        spec = cls.__new__(cls)
+        spec.series, spec.stripped = absorb(F, 0), F
+        return spec
 
     @property
     def d(self):
@@ -87,10 +98,11 @@ def moments_from_cumulants(k):
     """The moment series of the cumulant series k.
 
     moments_by_trees defines it, m_n = sum over all n-vertex trees of k_t;
-    this computes it degree by degree as m = k o ((1 + m).I)
-    (multiseries.moments_by_recursion), with no tree walked.
+    this computes M of m = I.M from K of k = I.K degree by degree as
+    m = k o ((1 + m).I) (multiseries.moments_by_recursion), with no tree
+    walked.
     """
-    return MomentSpec(moments_by_recursion(k.series))
+    return MomentSpec._of_stripped(moments_by_recursion(k.stripped))
 
 
 def cumulants_from_moments(m):
@@ -99,10 +111,10 @@ def cumulants_from_moments(m):
 
     Degree n of k o ((1 + m).I) reads k_n only through k_n(x_1, ..., x_n),
     so k_n is m_n minus the same composition over the cumulants below
-    degree n (multiseries.cumulants_by_recursion); cumulants_by_trees is the
-    tree-sum definition.
+    degree n (multiseries.cumulants_by_recursion, on K of k = I.K and M of
+    m = I.M); cumulants_by_trees is the tree-sum definition.
     """
-    return CumulantSpec(cumulants_by_recursion(m.series))
+    return CumulantSpec._of_stripped(cumulants_by_recursion(m.stripped))
 
 
 def moments_by_trees(k):
@@ -113,7 +125,11 @@ def moments_by_trees(k):
     builds each subtree's k_t once as a multilinear map in its arguments,
     instead of per basis tuple.
     """
-    return MomentSpec(_tree_moments(k.series))
+    d, N = k.d, k.N
+    sums = TreeTensors(d, (k.series.maps,), (True, True))
+    maps = [MultiMap.zero(d, 0)]
+    maps += [sums.tree_sum(enumerate_trees(n), n) for n in range(1, N + 1)]
+    return MomentSpec(TruncSeries(d, N, maps))
 
 
 def cumulants_by_trees(m):
@@ -127,31 +143,14 @@ def cumulants_by_trees(m):
     carries over from degree to degree, since a subtree of size < n reads
     only cumulants that are already fixed.
     """
-    return CumulantSpec(_tree_cumulants(m.series))
-
-
-# The two tree sums on bare series, so that tests can try series outside
-# the I.F shape as well.
-
-def _tree_moments(ser):
-    d, N = ser.d, ser.N
-    sums = TreeTensors(d, (ser.maps,), (True, True))
-    maps = [MultiMap.zero(d, 0)]
-    maps += [sums.tree_sum(enumerate_trees(n), n) for n in range(1, N + 1)]
-    return TruncSeries(d, N, maps)
-
-
-def _tree_cumulants(ser):
-    d, N = ser.d, ser.N
-    kmaps = [MultiMap.zero(d, 0)]
-    if N >= 1:
-        kmaps.append(ser[1])
-    sums = TreeTensors(d, (kmaps,), (True, True))
-    for n in range(2, N + 1):
+    ser = m.series
+    kmaps = [MultiMap.zero(m.d, 0), ser[1]]
+    sums = TreeTensors(m.d, (kmaps,), (True, True))
+    for n in range(2, m.N + 1):
         comb_n = right_comb(n)
         others = sums.tree_sum((t for t in enumerate_trees(n) if t != comb_n), n)
         kmaps.append(ser[n] + others.scale(-1))
-    return TruncSeries(d, N, kmaps)
+    return CumulantSpec(TruncSeries(m.d, m.N, kmaps))
 
 
 def speicher_relation_check(k, m):
@@ -163,20 +162,18 @@ def speicher_relation_check(k, m):
     """
     if (k.d, k.N) != (m.d, m.N):
         raise ValueError("cumulant and moment series must share (d, N)")
-    K = strip_identity(k.series)
-    M = strip_identity(m.series)
+    K, M = k.stripped, m.stripped
     d, order = K.d, K.N
     ident = TruncSeries.identity(d, order)
     one = TruncSeries.constant(AlgebraElement.unit(d), order)
-    im = absorb(M, 0).truncate(order)
-    imi = absorb(im, 1).truncate(order)
-    core = compose_at(K, ident + imi, order)
+    im = absorb_at(M, 0, order)
+    core = compose_at(K, ident + absorb_at(im, 1, order), order)
     report = Report("moment-cumulant", seed=None, order=order, dim=d)
     for cid, statement, lhs in (
             ("fixed-point-right", "M == (K o (I + I.M.I)) * (1 + I.M)",
              mul_at(core, one + im, order)),
             ("fixed-point-left", "M == (1 + M.I) * (K o (I + I.M.I))",
-             mul_at(one + absorb(M, 1).truncate(order), core, order))):
+             mul_at(one + absorb_at(M, 1, order), core, order))):
         report.compare(cid, statement, lhs, M, {"order": order})
     return report.finish()
 
@@ -381,7 +378,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
                 s_ab, compose_at(mul_at(sp_b, s_a, N - 1), u_b, N - 1), params)
 
         compare("u-from-moments", "U(a) == (M.I) o (I.M)^{o-1}",
-                u_a, compose_at(absorb(strip_identity(ma.series), 1),
+                u_a, compose_at(absorb(ma.stripped, 1),
                                 comp_inverse(ma.series), N), params)
 
         compare("u-of-product", "U(ab) == U(a) o U(b)",
@@ -647,8 +644,7 @@ def sab_search(N=4, d=2, trials=50, seed=0):
         plain = mul_at(s_transform(kb.series), s_transform(ka.series), N - 1)
         if s_ab != plain:
             continue
-        mb = moments_from_cumulants(kb).series
-        M = strip_identity(mb)
+        M = moments_from_cumulants(kb).stripped
         commutes = absorb(M, 1) == absorb(M, 0)
         ka_constant = all(ka.series[n].is_zero() for n in range(2, N + 1))
         if commutes or ka_constant:

@@ -410,6 +410,12 @@ def absorb(F, side):
                        + [_times_x(m, side) for m in F.maps])
 
 
+def absorb_at(F, side, order):
+    """absorb(F, side) through order <= F.N + 1, from F below degree order."""
+    return (absorb(F.truncate(order - 1), side) if order
+            else TruncSeries.zero(F.d, 0))
+
+
 def _lines(d, side):
     """The slices of the rows (side 0) or the columns (side 1) of a d x d
     coordinate vector: the lines that a matrix unit in an absorbing slot
@@ -418,12 +424,18 @@ def _lines(d, side):
             for i in range(d)]
 
 
-def is_gi(f):
-    """f = I.F with F in G^inv: every f_n factors through its first argument
-    as f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ..., x_n) (the pass of
-    absorbed(f, 0)), and F_0 = f_1(1) is invertible."""
+def gi_stripped(f):
+    """F when f = I.F with F in G^inv, or None: every f_n factors through its
+    first argument as f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ..., x_n) (the
+    pass of absorbed(f, 0)), and F_0 = f_1(1) is invertible.  The one read
+    of the G^I shape."""
     F = absorbed(f, 0)
-    return F is not None and _has_inverse(F[0])
+    return F if F is not None and _has_inverse(F[0]) else None
+
+
+def is_gi(f):
+    """f is in G^I (gi_stripped)."""
+    return gi_stripped(f) is not None
 
 
 # -- the integer kernel -------------------------------------------------------------
@@ -966,7 +978,9 @@ _ZERO_VALUE = ({}, 1, None)
 #
 # The cumulants solve the second equation for K_j given M, through
 # (K o P)_j = K_j + (the composition over K below degree j).  The sum is a
-# product across the unit (_sandwich).  None of these contracts a table of
+# product across the unit (_sandwich).  Cumulant and moment series have
+# the I.K shape, so the conversions run on K and M alone; red keeps the
+# full recursion for an f outside it.  None of these contracts a table of
 # the top degree, and for g = I.G boxconv reads box and line off the same
 # red/redred pass.
 
@@ -1026,52 +1040,36 @@ def _spine_tail(M, kp, j, d):
                        d, j)
 
 
-def moments_by_recursion(k):
-    """The moment series m of the cumulant series k: m_n is the degree-n
-    part of k o P over the moments found so far, P_1 = I; for k = I.K, M_j
-    of m = I.M is (K o P)_j plus _spine_tail.  The tree sum m_n = sum over
-    n-vertex trees t of k_t defines it."""
-    d = k.d
-    K = absorbed(k, 0)
+def moments_by_recursion(K):
+    """M of the moment series m = I.M of the cumulant series k = I.K: M_j is
+    (K o P)_j plus _spine_tail, with P_1 = I and P_j = x.M_{j-2}.x over the
+    moments found so far.  The tree sum m_n = sum over n-vertex trees t of
+    k_t defines m."""
+    d = K.d
     p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
-    if K is not None:
-        kp, M = [K[0]], []
-        for j in range(K.N + 1):
-            if j >= 2:
-                p.append(_times_x(_times_x(M[j - 2], 1), 0))
-            if j >= 1:
-                kp.append(_composition_degree(K.maps, p, 1, j, d))
-            M.append(kp[j] + _spine_tail(M, kp, j, d))
-        return absorb(TruncSeries(d, K.N, M), 0)
-    m = [MultiMap.zero(d, 0)]
-    for n in range(1, k.N + 1):
-        if n >= 2:
-            p.append(_times_x(m[n - 1], 1))
-        m.append(_composition_degree(k.maps, p, 1, n, d))
-    return TruncSeries(d, k.N, m)
+    kp, M = [K[0]], []
+    for j in range(K.N + 1):
+        if j >= 2:
+            p.append(_times_x(_times_x(M[j - 2], 1), 0))
+        if j >= 1:
+            kp.append(_composition_degree(K.maps, p, 1, j, d))
+        M.append(kp[j] + _spine_tail(M, kp, j, d))
+    return TruncSeries(d, K.N, M)
 
 
-def cumulants_by_recursion(m):
-    """The cumulant series k with moments m, inverting moments_by_recursion
-    degree by degree: k_n(P_1, ..., P_1) is the one term of (k o P)_n that
-    reads k_n, so k_n = m_n minus that composition over k below degree n.
-    For m = I.M, (K o P)_j = M_j minus _spine_tail, and K_j is that minus
-    the composition over K below degree j."""
-    d = m.d
-    M = absorbed(m, 0)
+def cumulants_by_recursion(M):
+    """K of the cumulant series k = I.K with moments m = I.M, inverting
+    moments_by_recursion degree by degree: (K o P)_j = M_j minus
+    _spine_tail, and K_j, the one term of (K o P)_j that reads K at degree
+    j, is that minus the composition over K below degree j."""
+    d = M.d
     p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
-    if M is not None:
-        p += [_times_x(_times_x(M[j - 2], 1), 0) for j in range(2, M.N + 1)]
-        kp, K = [], []
-        for j in range(M.N + 1):
-            kp.append(M[j] + _spine_tail(M, kp, j, d).scale(-1))
-            K.append(kp[j] + _composition_degree(K, p, 1, j, d).scale(-1))
-        return absorb(TruncSeries(d, M.N, K), 0)
-    p += [_times_x(m[j - 1], 1) for j in range(2, m.N + 1)]
-    k = [MultiMap.zero(d, 0)]
-    for n in range(1, m.N + 1):
-        k.append(m[n] + _composition_degree(k, p, 1, n, d).scale(-1))
-    return TruncSeries(d, m.N, k)
+    p += [_times_x(_times_x(M[j - 2], 1), 0) for j in range(2, M.N + 1)]
+    kp, K = [], []
+    for j in range(M.N + 1):
+        kp.append(M[j] + _spine_tail(M, kp, j, d).scale(-1))
+        K.append(kp[j] + _composition_degree(K, p, 1, j, d).scale(-1))
+    return TruncSeries(d, M.N, K)
 
 
 # -- the same maps through words ---------------------------------------------------

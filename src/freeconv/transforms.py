@@ -23,9 +23,10 @@ import random
 
 from .algebra import AlgebraElement
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
-                          absorbed, compose_at, is_gdif, is_gi, is_ginv,
-                          mul_across, mul_at, mult_inverse, random_series,
-                          red_and_redred, revert_absorbed)
+                          absorb_at, absorbed, compose_at, gi_stripped,
+                          is_gdif, is_gi, is_ginv, mul_across, mul_at,
+                          mult_inverse, random_series, red_and_redred,
+                          revert_absorbed)
 from .trees import enumerate_trees, rmap
 from .verify import Report
 
@@ -145,7 +146,7 @@ def strip_identity(f):
     """The series F with f = I.F, read off as F_m = f_{m+1}(1, . , ..., .).
 
     Only faithful when f actually has the first-argument-absorbing shape;
-    callers check is_gi first (or compare a rebuilt I.F against f).
+    gi_stripped reads F and checks the shape in one pass.
     """
     if f.N < 1:
         raise ValueError("cannot strip the identity from an order-0 series")
@@ -154,22 +155,22 @@ def strip_identity(f):
 
 
 def _stripped(f, name):
-    """F of f = I.F with F in G^inv: the one read of f's shape."""
-    F = absorbed(f, 0)
-    if F is None or not is_ginv(F):
+    """F of f = I.F with F in G^inv (gi_stripped), or a ValueError."""
+    F = gi_stripped(f)
+    if F is None:
         raise ValueError(f"the {name} needs a series of the I.F shape")
     return F
 
 
 def _s_both_ways(F, s):
-    """S, read off the reversion f^{o-1} = I.S, checked against
-    S = (F o (I.S))^{-1}, f = I.F; returns S and C = F o (I.S).  Degree m of
-    the right-hand side reads S only below degree m, so S is its only
-    solution and one check suffices; once it passes, C is S^{-1}."""
-    C = compose_at(F, absorb(s, 0).truncate(F.N), F.N)
+    """C = F o (I.S), f = I.F, once S, read off the reversion
+    f^{o-1} = I.S, is checked against S = C^{-1}.  Degree m of C reads S
+    only below degree m, so S is its only solution and one check suffices;
+    once it passes, C is S^{-1}."""
+    C = compose_at(F, absorb_at(s, 0, F.N), F.N)
     if mult_inverse(C) != s:
         raise ArithmeticError("S does not solve its fixed-point equation")
-    return s, C
+    return C
 
 
 def s_transform(f):
@@ -179,7 +180,9 @@ def s_transform(f):
     against the fixed-point equation S = (F o (I.S))^{-1}.
     """
     F = _stripped(f, "S-transform")
-    return _s_both_ways(F, strip_identity(revert_absorbed(F, 0)))[0]
+    s = strip_identity(revert_absorbed(F, 0))
+    _s_both_ways(F, s)
+    return s
 
 
 def u_transform(f):
@@ -201,8 +204,7 @@ def u_transform(f):
     s = absorbed(revert_absorbed(F, 0), 0)
     if s is None:
         raise ArithmeticError("the three U-transform expressions disagree")
-    C = _s_both_ways(F, s)[1]
-    return mul_across(C, s, f.N)
+    return mul_across(_s_both_ways(F, s), s, f.N)
 
 
 def s_prime(f):

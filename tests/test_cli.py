@@ -142,6 +142,8 @@ def _malformed_series(kind):
         obj["maps"][1]["tensor"] = [5]
     elif kind == "file-is-a-list":
         obj = [1, 2]
+    elif kind == "zero-denominator":
+        obj["maps"][1]["tensor"][0]["entries"] = [["1/0"]]
     else:
         obj["maps"][1]["tensor"][0]["entries"] = [[float(kind)]]
     return obj
@@ -154,7 +156,8 @@ def _exits_three_with_one_error_line(capsys, *argv):
 
 
 @pytest.mark.parametrize("kind", ["maps-hold-an-int", "tensor-holds-an-int",
-                                  "file-is-a-list", "0.5", "1.5"])
+                                  "file-is-a-list", "zero-denominator", "0.5",
+                                  "1.5"])
 def test_malformed_series_file_exits_three(capsys, tmp_path, kind):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(random_series(random.Random(7), 1, 1,

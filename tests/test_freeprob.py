@@ -14,6 +14,7 @@ from freeconv.freeprob import (CumulantSpec, MomentSpec,
                                speicher_relation_check,
                                verify_freeprob_identities)
 from freeconv.multiseries import TruncSeries, random_series
+import freeconv.multiseries as multiseries
 from freeconv.trees import right_comb
 
 D, N = 2, 3
@@ -49,6 +50,27 @@ def test_spec_json_round_trip():
     assert CumulantSpec.from_json(k.to_json()) == k
     m = moments_from_cumulants(k)
     assert MomentSpec.from_json(m.to_json()) == m
+
+
+def test_specs_read_the_shape_once_and_keep_the_stripped_series(monkeypatch):
+    # the conversions build their result from the stripped series they
+    # computed, so a round trip reads the shape of its input spec alone
+    reads = []
+    real = multiseries.absorbed
+
+    def counted(f, side):
+        reads.append(side)
+        return real(f, side)
+
+    monkeypatch.setattr(multiseries, "absorbed", counted)
+    series = random_series(random.Random(8), D, N, "gi", bound=2)
+    k = CumulantSpec(series)
+    m = moments_from_cumulants(k)
+    k2 = cumulants_from_moments(m)
+    assert reads == [0] and k2 == k
+    loaded = MomentSpec.from_json(m.to_json())
+    for spec in (k, m, k2, loaded):
+        assert spec.stripped == real(spec.series, 0)
 
 
 def test_first_moments_expand_as_tree_sums():
