@@ -152,7 +152,7 @@ class AlgebraElement:
         if isinstance(obj, str):
             obj = json.loads(obj)
         rows = json_field(obj, "entries", list, "an algebra element")
-        if not all(isinstance(row, list) and all(isinstance(x, (int, str))
+        if not all(isinstance(row, list) and all(type(x) in (int, str)
                                                  for x in row) for row in rows):
             raise ValueError("an algebra element's 'entries' must be rows of "
                              "integers or rational strings")
@@ -163,8 +163,8 @@ class AlgebraElement:
 
 
 def json_field(obj, key: str, kind: type, what: str):
-    """obj[key] of parsed JSON, or a ValueError unless it is a `kind`."""
-    if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
+    """obj[key] of parsed JSON, or a ValueError unless its type is `kind`."""
+    if not isinstance(obj, dict) or type(obj.get(key)) is not kind:
         raise ValueError(f"{what} needs a JSON object with a field {key!r} "
                          f"of type {kind.__name__}")
     return obj[key]

@@ -28,9 +28,8 @@ every internal vertex has at least two children and its last (first) child is
 a leaf.  Parking functions are tuples a with a(i) <= i, nondecreasing.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable
 
 from . import partitions as pt
 from . import trees as tr
@@ -252,15 +251,8 @@ def _is_binary(t):
                        and _is_binary(t[0]) and _is_binary(t[1]))
 
 
-@dataclass(frozen=True)
-class Family:
-    """One Catalan pair: unit, grading, composition, and its inverse."""
-    name: str
-    unit: object
-    size: Callable
-    compose: Callable
-    decompose: Callable
-    member: Callable
+Family = namedtuple("Family", "name unit size compose decompose member")
+Family.__doc__ = "One Catalan pair: unit, grading, composition, and its inverse."
 
 
 def _ncp_member(p):

@@ -28,7 +28,7 @@ from itertools import product as _cartesian
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
                           absorb_at, alt_tree_eval, comp_inverse, compose_at,
-                          cumulants_by_recursion, gi_stripped, is_ginv,
+                          cumulants_by_recursion, gi_stripped,
                           moments_by_recursion, mul_at, random_multimap,
                           random_series, tree_eval)
 from .transforms import boxconv, s_prime, s_transform, u_transform
@@ -46,7 +46,8 @@ class CumulantSpec:
     E(x1 a x2 a ... xn a).  Either series must have the left-module shape
     x1 * (rest) with an invertible first coefficient; the latter is the
     standing invertibility assumption behind the S-transform.  The
-    constructor reads F of series = I.F once and keeps it as ``stripped``.
+    constructor reads F of series = I.F once (gi_stripped: the record of a
+    series that absorb built, or one pass) and keeps it as ``stripped``.
     """
 
     __slots__ = ("series", "stripped")
@@ -57,16 +58,6 @@ class CumulantSpec:
             raise ValueError("cumulant and moment series must have the shape "
                              "I.g with g(1) invertible")
         self.series, self.stripped = series, F
-
-    @classmethod
-    def _of_stripped(cls, F):
-        """The spec of I.F, for an F that a conversion computed: F_0 must be
-        invertible, and I.F is built from F, not read back."""
-        if not is_ginv(F):
-            raise ValueError("the stripped series needs an invertible F_0")
-        spec = cls.__new__(cls)
-        spec.series, spec.stripped = absorb(F, 0), F
-        return spec
 
     @property
     def d(self):
@@ -102,7 +93,7 @@ def moments_from_cumulants(k):
     m = k o ((1 + m).I) (multiseries.moments_by_recursion), with no tree
     walked.
     """
-    return MomentSpec._of_stripped(moments_by_recursion(k.stripped))
+    return MomentSpec(absorb(moments_by_recursion(k.stripped), 0))
 
 
 def cumulants_from_moments(m):
@@ -114,7 +105,7 @@ def cumulants_from_moments(m):
     degree n (multiseries.cumulants_by_recursion, on K of k = I.K and M of
     m = I.M); cumulants_by_trees is the tree-sum definition.
     """
-    return CumulantSpec._of_stripped(cumulants_by_recursion(m.stripped))
+    return CumulantSpec(absorb(cumulants_by_recursion(m.stripped), 0))
 
 
 def moments_by_trees(k):

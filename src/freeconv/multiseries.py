@@ -24,8 +24,10 @@ absorbed(f, side), composes as g.(F o g) or (F o g).g and reverts to I.S or
 S.I by solving S.(F o g) = 1 or (F o g).S = 1 for S degree by degree
 (revert_absorbed), so its top degree is never a sum over compositions and
 the reversion's products run on S; other outer series take that sum.
-absorb(F, side) builds I.F or F.I back by moving entries.  A product with
-the unit between its factors, A.I.B (mul_across), is an outer product of a
+absorb(F, side) builds I.F or F.I back by moving entries and records F in
+it, so absorbed reads a series the library built without a pass; outside
+input (from_json, hand-built maps, sums) pays one.  A product with the
+unit between its factors, A.I.B (mul_across), is an outer product of a
 column and a row per entry, with no sums.  The degree-by-degree recursions
 behind the boxed convolutions and the moment-cumulant conversions contract
 F in place of f = I.F in the same way.  Operations that mix
@@ -180,18 +182,15 @@ class MultiMap:
 
     def unit_in_first_slot(self):
         """The degree-(n-1) map (x_2..x_n) -> f(1, x_2..x_n)."""
-        return self._unit_in_slot(0)
-
-    def _unit_in_slot(self, j):
         # the unit is the sum of the E_pp: one table per p, then one merge
         if self.n == 0:
             raise ValueError("degree-0 map has no slot")
         d = self.d
         diagonal = [{} for _ in range(d)]
         for key, vec in self.table.items():
-            p, q = divmod(key[j], d)
+            p, q = divmod(key[0], d)
             if p == q:
-                diagonal[p][key[:j] + key[j + 1:]] = vec
+                diagonal[p][key[1:]] = vec
         return _merge(((table, self.den) for table in diagonal), d, self.n - 1)
 
 
@@ -219,9 +218,11 @@ def _fill(m, d, n, table, den):
 
 
 class TruncSeries:
-    """A series truncated at order N: degrees 0..N inclusive."""
+    """A series truncated at order N: degrees 0..N inclusive.  ``_absorbs``
+    is (side, F) when absorb built it from F, else (None, None); equality,
+    hashing and JSON ignore it."""
 
-    __slots__ = ("d", "N", "maps")
+    __slots__ = ("d", "N", "maps", "_absorbs")
 
     def __init__(self, d, N, maps):
         if N < 0:
@@ -235,6 +236,7 @@ class TruncSeries:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "_absorbs", (None, None))
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
@@ -367,14 +369,18 @@ def absorbed(f, side):
     """F with f = I.F (side 0) or f = F.I (side 1), or None for neither:
     f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ...) or F_{n-1}(..., x_{n-1}) x_n.
 
-    E_pq A is row q of A moved to row p, and A E_pq is column p moved to
-    column q.  So f has the shape exactly when, for each source line (row q
-    or column p) and the other arguments `rest`, the d entries with a matrix
-    unit of that source in the absorbing slot are all present or all
-    absent, each zero off its target line and all carrying one line: that
-    line of F_{n-1}(rest).  One pass over each table tests this and reads F
-    off; F's entries are f's, so f's denominator is F's least one.
+    A series that absorb built on this side returns the F it recorded.  For
+    any other series, E_pq A is row q of A moved to row p, and A E_pq is
+    column p moved to column q.  So f has the shape exactly when, for each
+    source line (row q or column p) and the other arguments `rest`, the d
+    entries with a matrix unit of that source in the absorbing slot are all
+    present or all absent, each zero off its target line and all carrying
+    one line: that line of F_{n-1}(rest).  One pass over each table tests
+    this and reads F off; F's entries are f's, so f's denominator is F's
+    least one.
     """
+    if f._absorbs[0] == side:
+        return f._absorbs[1]
     if not f[0].is_zero() or f.N < 1:
         return None
     d = f.d
@@ -405,9 +411,16 @@ def absorb(F, side):
     """I.F (side 0) or F.I (side 1), one order longer than F: the inverse of
     absorbed.  Each degree moves F's entries (_times_x) and multiplies
     none, so it is mul_at(I, F) or mul_at(F, I) without the products."""
-    d = F.d
-    return TruncSeries(d, F.N + 1, [MultiMap.zero(d, 0)]
-                       + [_times_x(m, side) for m in F.maps])
+    return _absorbing(F, side, [MultiMap.zero(F.d, 0)]
+                      + [_times_x(m, side) for m in F.maps])
+
+
+def _absorbing(F, side, maps):
+    """The series with the given maps, which are those of absorb(F, side),
+    recording (side, F); the one writer of the record."""
+    f = TruncSeries(F.d, F.N + 1, maps)
+    object.__setattr__(f, "_absorbs", (side, F))
+    return f
 
 
 def absorb_at(F, side, order):
@@ -426,9 +439,9 @@ def _lines(d, side):
 
 def gi_stripped(f):
     """F when f = I.F with F in G^inv, or None: every f_n factors through its
-    first argument as f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ..., x_n) (the
-    pass of absorbed(f, 0)), and F_0 = f_1(1) is invertible.  The one read
-    of the G^I shape."""
+    first argument as f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ..., x_n)
+    (absorbed(f, 0)), and F_0 = f_1(1) is invertible.  The one read of the
+    G^I shape."""
     F = absorbed(f, 0)
     return F if F is not None and _has_inverse(F[0]) else None
 
@@ -476,6 +489,8 @@ def _merge(terms, d, n):
             else:
                 for i in range(dd):
                     cur[i] += up * vec[i]
+        # a term can be as large as the sum: free it before the next is built
+        del table
     if acc_den > 1:
         g = acc_den
         for vec in acc.values():
@@ -769,7 +784,7 @@ def revert_absorbed(F, side):
         S.append(tensor_product_sum((_ordered(S[a - 1], scaled[n - a], side)
                                      for a in range(1, n)), d, n - 1))
         g.append(_times_x(S[n - 1], side))
-    return TruncSeries(d, N, g)
+    return _absorbing(TruncSeries(d, N - 1, S), side, g)
 
 
 # -- tree-indexed evaluation ------------------------------------------------------
@@ -993,21 +1008,21 @@ def _times_x(m, side):
     return MultiMap._of(m.d, m.n + 1, _times_units(m.table, m.d, side), m.den)
 
 
-def red_and_redred(f, g, F, G, red_order, redred_order):
+def red_and_redred(f, g, red_order, redred_order):
     """red(f, g) through red_order and redred(f, g) through redred_order,
     as lists of maps, for red_order - 2 <= redred_order <= red_order: red_n
     needs redred through degree n - 2, and redred_n needs red through n.
     boxconv reads its four variants off them; boxconv_by_trees is their
     tree-sum definition.
 
-    F is absorbed(f, 0), read by the caller.  When it is not None, red =
-    I.R with R = F o Q, red_n = x R_{n-1}, and the list of R's maps is
-    returned third (through red_order - 1 for red_order >= 1); otherwise
-    the third value is None.  G is absorbed(g, 0) when the caller has read
-    it: its maps are strip_identity(g), which is otherwise read off g's unit
-    slots."""
+    When f = I.F (absorbed(f, 0)), red = I.R with R = F o Q, red_n =
+    x R_{n-1}, and the list of R's maps is returned third (through
+    red_order - 1 for red_order >= 1); otherwise the third value is None.
+    strip_identity(g) is G when g = I.G, and is read off g's unit slots
+    otherwise."""
     d = f.d
     x = (MultiMap.identity(d).table, 1)
+    F, G = absorbed(f, 0), absorbed(g, 0)
     strip = G.maps if G is not None else [None] + [
         g[m + 1].unit_in_first_slot() for m in range(1, redred_order + 1)]
     red = [MultiMap.zero(d, 0), f[1]]

@@ -9,14 +9,15 @@ composition identities box = g o red and redred = strip_identity(g) o red,
 which walk no tree.  The S-transform of f = I.F is the series S with
 f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
 F.I instead.  Each transform reads f's shape once, as F, and reverts I.F
-or F.I from F.  No transform is returned unchecked: S comes from one
-reversion of f and must solve its fixed-point equation S = (F o (I.S))^{-1},
-and S' is read off a reversion that must factor as S'.I.  U's three
-expressions S^{-1}.I.S, (F o (I.S)).I.S and (F.I) o f^{o-1} agree exactly
-when S passes that check and the reversion has the shape I.S, since
-X -> X.I.S (S_0 invertible) and X -> (F.I) o X (zero-constant X) are
-injective; so U is checked by those two and computed as one product across
-the unit.
+or F.I from F.  No transform is returned unchecked: S is read off one
+reversion of f that must factor as I.S, and must solve its fixed-point
+equation S = (F o (I.S))^{-1}; S' is read off a reversion that must factor
+as S'.I.  absorbed reads each from the record revert_absorbed writes.
+U's three expressions S^{-1}.I.S, (F o (I.S)).I.S and (F.I) o f^{o-1}
+agree exactly when S passes that check and the reversion has the shape
+I.S, since X -> X.I.S (S_0 invertible) and X -> (F.I) o X (zero-constant
+X) are injective; so U is checked by those two and computed as one product
+across the unit.
 """
 
 import random
@@ -76,29 +77,25 @@ def boxconv(variant, f, g):
     box = red(f, g).redred(f, g), which is I.(R.redred) when f = I.F too;
     and red(g, f) = I.(G o Q') with Q' = redred(g, f).I gives line =
     g o Q' = Q'.(G o Q') = redred(g, f).I.(G o Q'), a product across the
-    unit (mul_across).  Neither composes g, and box strips g once.
+    unit (mul_across).  Neither composes g.
     """
     _check_pair(variant, f, g)
     d, N = f.d, f.N
+    if variant == "red":
+        return TruncSeries(d, N, red_and_redred(f, g, N, N - 2)[0])
+    if variant == "redred":
+        return TruncSeries(d, N - 1, red_and_redred(f, g, N - 1, N - 1)[1])
+    if absorbed(g, 0) is None:
+        if variant == "box":
+            red = red_and_redred(f, g, N, N - 2)[0]
+            return compose_at(g, TruncSeries(d, N, red), N)
+        redred = red_and_redred(g, f, N - 1, N - 1)[1]
+        return compose_at(g, absorb(TruncSeries(d, N - 1, redred), 1), N)
     if variant == "line":
-        G = absorbed(g, 0)
-        if G is None:
-            _, redred, _ = red_and_redred(g, f, None, None, N - 1, N - 1)
-            return compose_at(g, absorb(TruncSeries(d, N - 1, redred), 1), N)
-        _, redred, R = red_and_redred(g, f, G, None, N, N - 1)
+        _, redred, R = red_and_redred(g, f, N, N - 1)
         return mul_across(TruncSeries(d, N - 1, redred),
                           TruncSeries(d, N - 1, R), N)
-    F = absorbed(f, 0)
-    if variant == "red":
-        return TruncSeries(d, N, red_and_redred(f, g, F, None, N, N - 2)[0])
-    if variant == "redred":
-        return TruncSeries(d, N - 1,
-                           red_and_redred(f, g, F, None, N - 1, N - 1)[1])
-    G = absorbed(g, 0)
-    if G is None:
-        red, _, _ = red_and_redred(f, g, F, None, N, N - 2)
-        return compose_at(g, TruncSeries(d, N, red), N)
-    red, redred, R = red_and_redred(f, g, F, G, N, N - 1)
+    red, redred, R = red_and_redred(f, g, N, N - 1)
     redred = TruncSeries(d, N - 1, redred)
     if R is None:
         return mul_at(TruncSeries(d, N, red), redred, N)
@@ -146,7 +143,7 @@ def strip_identity(f):
     """The series F with f = I.F, read off as F_m = f_{m+1}(1, . , ..., .).
 
     Only faithful when f actually has the first-argument-absorbing shape;
-    gi_stripped reads F and checks the shape in one pass.
+    gi_stripped reads F and checks the shape.
     """
     if f.N < 1:
         raise ValueError("cannot strip the identity from an order-0 series")
@@ -176,11 +173,13 @@ def _s_both_ways(F, s):
 def s_transform(f):
     """S with f^{o-1} = I.S; one order shorter than f.
 
-    Solved once, by reverting f and stripping the identity, and checked
-    against the fixed-point equation S = (F o (I.S))^{-1}.
+    Solved once, by reverting f, read off the reversion I.S by absorbed,
+    and checked against the fixed-point equation S = (F o (I.S))^{-1}.
     """
     F = _stripped(f, "S-transform")
-    s = strip_identity(revert_absorbed(F, 0))
+    s = absorbed(revert_absorbed(F, 0), 0)
+    if s is None:
+        raise ArithmeticError("the reversion of f does not factor as I.S")
     _s_both_ways(F, s)
     return s
 
@@ -196,9 +195,9 @@ def u_transform(f):
     S^{-1} = F o (I.S): S's fixed-point check.  Composing on the left with
     F.I, which is in G^dif, is injective on zero-constant series, so the
     last two agree exactly when the reversion is I.S: absorbed(rev, 0)
-    reads S and tests that shape in one pass.  So f's shape is read once,
-    f is reverted once, F o (I.S) is composed once, and one product across
-    the unit (mul_across) gives U.
+    reads S and that shape, from the record revert_absorbed writes.  So
+    f's shape is read once, f is reverted once, F o (I.S) is composed once,
+    and one product across the unit (mul_across) gives U.
     """
     F = _stripped(f, "U-transform")
     s = absorbed(revert_absorbed(F, 0), 0)
@@ -212,7 +211,8 @@ def s_prime(f):
 
     f's shape is read once, and F.I is reverted from F.  The reversion
     absorbs its last argument on the right; S' is read off it by
-    absorbed(h, 1), which also checks that it factors as S'.I.
+    absorbed(h, 1), which also checks that it factors as S'.I, from the
+    record revert_absorbed writes.
     """
     h = revert_absorbed(_stripped(f, "primed transform"), 1)
     sp = absorbed(h, 1)

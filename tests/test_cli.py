@@ -144,6 +144,10 @@ def _malformed_series(kind):
         obj = [1, 2]
     elif kind == "zero-denominator":
         obj["maps"][1]["tensor"][0]["entries"] = [["1/0"]]
+    elif kind == "boolean-order":
+        obj["N"] = obj["maps"][1]["n"] = True
+    elif kind == "boolean-entry":
+        obj["maps"][1]["tensor"][0]["entries"] = [[True]]
     else:
         obj["maps"][1]["tensor"][0]["entries"] = [[float(kind)]]
     return obj
@@ -156,7 +160,8 @@ def _exits_three_with_one_error_line(capsys, *argv):
 
 
 @pytest.mark.parametrize("kind", ["maps-hold-an-int", "tensor-holds-an-int",
-                                  "file-is-a-list", "zero-denominator", "0.5",
+                                  "file-is-a-list", "zero-denominator",
+                                  "boolean-order", "boolean-entry", "0.5",
                                   "1.5"])
 def test_malformed_series_file_exits_three(capsys, tmp_path, kind):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -294,17 +299,35 @@ def test_run_suite_falls_back_only_on_none():
     assert (report["order"], report["dim"], report["trials"]) == (1, 1, 0)
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    argv = ["verify", "--suite", "operad", "--order", "2", "--dim", "2",
-            "--trials", "1"]
+def _env_with_src():
+    """os.environ with the directory holding freeconv on PYTHONPATH."""
     src = str(Path(freeconv.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "freeconv", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return env
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["verify", "--suite", "operad", "--order", "2", "--dim", "2",
+            "--trials", "1"]
+    proc = subprocess.run([sys.executable, "-m", "freeconv", *argv],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=120)
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0
     via_m, via_main = json.loads(proc.stdout), json.loads(out)
     via_m.pop("elapsed"), via_main.pop("elapsed")
     assert via_m == via_main
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every fresh interpreter pays for what `import freeconv` loads, and these
+    # two modules, which freeconv does not need, cost about 10 ms together
+    code = ("import sys, freeconv, freeconv.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

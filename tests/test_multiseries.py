@@ -71,9 +71,8 @@ def test_unit_slots_evaluate_at_the_unit():
     one = AlgebraElement.unit(D)
     a, b = _x(5), _x(6)
     assert m.unit_in_first_slot()(a, b) == m(one, a, b)
-    assert m._unit_in_slot(2)(a, b) == m(a, b, one)
     with pytest.raises(ValueError):
-        MultiMap.zero(D, 0)._unit_in_slot(0)
+        MultiMap.zero(D, 0).unit_in_first_slot()
 
 
 def test_transpose_map():

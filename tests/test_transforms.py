@@ -290,6 +290,15 @@ def test_u_transform_fails_exactly_where_an_expression_differs(
             u_transform(f)
 
 
+def test_s_transform_shape_check_fires(monkeypatch):
+    # the unit slots that strip_identity would read stay intact, but S is read
+    # with absorbed, which sees that the reversion lost its I.S shape
+    f = random_series(random.Random(20), D, N, "gi")
+    _corrupt_reversions(monkeypatch, _commutator_added)
+    with pytest.raises(ArithmeticError, match=r"factor as I\.S"):
+        s_transform(f)
+
+
 def test_s_prime_shape_check_fires(monkeypatch):
     # a doubled degree keeps the S'.I shape and would pass; this breaks it
     f = random_series(random.Random(20), D, N, "gi")
