@@ -151,13 +151,16 @@ class AlgebraElement:
     def from_json(cls, obj) -> "AlgebraElement":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        d = json_field(obj, "d", int, "an algebra element")
+        if d < 1:
+            raise ValueError(f"an algebra element needs d >= 1, not {d}")
         rows = json_field(obj, "entries", list, "an algebra element")
         if not all(isinstance(row, list) and all(type(x) in (int, str)
                                                  for x in row) for row in rows):
             raise ValueError("an algebra element's 'entries' must be rows of "
                              "integers or rational strings")
         elem = cls.from_rows(rows)
-        if elem.d != json_field(obj, "d", int, "an algebra element"):
+        if elem.d != d:
             raise ValueError("declared dimension does not match entries")
         return elem
 

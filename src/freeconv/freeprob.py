@@ -573,9 +573,8 @@ def _substitution_check(report, rng, d):
     report.record(cid, statement, True)
 
     def absorbing():
-        h = TruncSeries(d, _SUB_ORDER, [random_multimap(rng, d, n, bound=1)
-                                        for n in range(_SUB_ORDER + 1)])
-        return absorb(h.truncate(_SUB_ORDER - 1), 0)
+        return absorb(TruncSeries(d, _SUB_ORDER - 1, [
+            random_multimap(rng, d, n, bound=1) for n in range(_SUB_ORDER)]), 0)
 
     f = absorbing()
     g = absorbing()

@@ -19,18 +19,19 @@ map per argument.  Fraction entries cross into a map through _to_ints (the
 checked constructor, evaluation's arguments and the inverse) and out of it
 through _to_element (evaluation's value and the ``tensor`` view).
 MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
-tests and both series inverses.  An outer series f = I.F or F.I, read by
-absorbed(f, side), composes as g.(F o g) or (F o g).g and reverts to I.S or
-S.I by solving S.(F o g) = 1 or (F o g).S = 1 for S degree by degree
+tests and both series inverses.  absorbed(f, side) reads F of an outer
+series f = I.F or F.I, and absorb(F, side) builds I.F or F.I back by moving
+entries and records F in it, so absorbed reads a series the library built
+without a pass; outside input (from_json, hand-built maps, sums) pays one.
+mul_at, compose_at and comp_inverse read either shape (_shape) and go
+through F: (I.F).g = I.(F.g) and f.(G.I) = (f.G).I one order lower, and
+(F.I).g and f.(I.G) as an outer product of a column and a row per entry,
+with no sums; I.F or F.I composes as g.(F o g) or (F o g).g and reverts to
+I.S or S.I by solving S.(F o g) = 1 or (F o g).S = 1 for S degree by degree
 (revert_absorbed), so its top degree is never a sum over compositions and
-the reversion's products run on S; other outer series take that sum.
-absorb(F, side) builds I.F or F.I back by moving entries and records F in
-it, so absorbed reads a series the library built without a pass; outside
-input (from_json, hand-built maps, sums) pays one.  A product with the
-unit between its factors, A.I.B (mul_across), is an outer product of a
-column and a row per entry, with no sums.  The degree-by-degree recursions
-behind the boxed convolutions and the moment-cumulant conversions contract
-F in place of f = I.F in the same way.  Operations that mix
+the reversion's products run on S.  The degree-by-degree recursions behind
+the boxed convolutions and the moment-cumulant conversions contract F in
+place of f = I.F in the same way.  Operations that mix
 two series of different truncation orders are rejected at the public
 level; the ``mul_at``/``compose_at`` variants compute a requested output
 order and raise unless the inputs genuinely determine every coefficient up
@@ -308,6 +309,8 @@ class TruncSeries:
     @classmethod
     def from_json(cls, obj):
         d = json_field(obj, "d", int, "a series")
+        if d < 1:
+            raise ValueError(f"a series needs d >= 1, not {d}")
         N = json_field(obj, "N", int, "a series")
         maps = []
         for n, rec in enumerate(json_field(obj, "maps", list, "a series")):
@@ -410,7 +413,7 @@ def absorbed(f, side):
 def absorb(F, side):
     """I.F (side 0) or F.I (side 1), one order longer than F: the inverse of
     absorbed.  Each degree moves F's entries (_times_x) and multiplies
-    none, so it is mul_at(I, F) or mul_at(F, I) without the products."""
+    none; mul_at(I, F) and mul_at(F, I) come here through the shape of I."""
     return _absorbing(F, side, [MultiMap.zero(F.d, 0)]
                       + [_times_x(m, side) for m in F.maps])
 
@@ -522,14 +525,16 @@ def _sandwich(a, b, d):
     """(a (x) I (x) b)(x, E_pq, y) = a(x) E_pq b(y) for two maps: entry
     (r, s) is a(x)_rp b(y)_qs, so each output vector is the outer product
     of column p of a(x) with row q of b(y).  No sums; zero columns and
-    rows are skipped."""
-    out = {}
+    rows are skipped.  Yields the table in parts of about as many keys as
+    a and b hold, over a.den * b.den, so _merge never holds the whole
+    product beside its sum."""
     rows = [[] for _ in range(d)]
     for kb, vb in b.table.items():
         for q in range(d):
             row = vb[q * d:(q + 1) * d]
             if any(row):
                 rows[q].append((kb, row))
+    den, part, size = a.den * b.den, {}, len(a.table) + len(b.table)
     for ka, va in a.table.items():
         for p in range(d):
             col = va[p::d]
@@ -538,8 +543,11 @@ def _sandwich(a, b, d):
             for q in range(d):
                 head = ka + (p * d + q,)
                 for kb, row in rows[q]:
-                    out[head + kb] = [x * y for x in col for y in row]
-    return out, a.den * b.den
+                    part[head + kb] = [x * y for x in col for y in row]
+                if len(part) >= size:
+                    yield part, den
+                    part = {}
+    yield part, den
 
 
 def tensor_product_sum(pairs, d, n):
@@ -549,7 +557,20 @@ def tensor_product_sum(pairs, d, n):
 
 def _across_sum(pairs, d, n):
     """The degree-n map summing a (x) I (x) b over pairs of maps."""
-    return _merge((_sandwich(a, b, d) for a, b in pairs), d, n)
+    return _merge((t for a, b in pairs for t in _sandwich(a, b, d)), d, n)
+
+
+def _shape(f):
+    """(side, F) with f = I.F (side 0) or f = F.I (side 1), else (None,
+    None): the record absorb wrote, or absorbed on each side; the one reader
+    of an absorbing shape behind mul_at, compose_at and comp_inverse."""
+    if f._absorbs[0] is not None:
+        return f._absorbs
+    for side in (0, 1):
+        F = absorbed(f, side)
+        if F is not None:
+            return side, F
+    return None, None
 
 
 def mul_at(f, g, order):
@@ -558,35 +579,37 @@ def mul_at(f, g, order):
     Exact as long as every consumed degree exists: degree n needs f_k for
     k >= lead(f) down to n - g.N and g_{n-k} symmetrically, so the order is
     admissible iff order <= min(f.N + lead(g), g.N + lead(f)).
+
+    A factor of the shape I.F or F.I (_shape) is multiplied through F:
+    (I.F).g = I.(F.g) and f.(G.I) = (f.G).I are taken one order lower and
+    absorbed, and (F.I).g and f.(I.G) are products across the unit, whose
+    degree n sums F_k(x_1..x_k) x_{k+1} g_{n-1-k}(rest) on _sandwich: no
+    table of F.I or I.G is built and no d x d product taken.
     """
-    return _mul(f, g, order, tensor_product_sum, 0)
-
-
-def mul_across(f, g, order):
-    """(f.I.g) to the given order: mul_at(absorb(f, 1), g, order), with the
-    same admissibility rule and error, but degree n sums
-    f_k(x_1..x_k) x_{k+1} g_{n-1-k}(rest) on _sandwich: no table of f.I is
-    built and no d x d product taken."""
-    return _mul(f, g, order, _across_sum, 1)
-
-
-def _mul(f, g, order, products, gap):
-    """f.g (gap 0) or f.I.g (gap 1), summed by `products`; f.I is one order
-    longer than f and leads one degree later."""
     if f.d != g.d:
         raise ValueError("dimension mismatch")
-    lf, lg, f_order = f.lead(), g.lead(), f.N + gap
-    if lf is not None:
-        lf += gap
-    if order > f_order + (lg if lg is not None else order) or \
+    lf, lg = f.lead(), g.lead()
+    if order > f.N + (lg if lg is not None else order) or \
        order > g.N + (lf if lf is not None else order):
         raise ValueError(f"order {order} not determined by inputs of orders "
-                         f"{f_order} and {g.N}")
-    d = f.d
-    out = [products(((f[k], g[n - gap - k]) for k in
-                     range(max(0, n - gap - g.N), min(n - gap, f.N) + 1)), d, n)
+                         f"{f.N} and {g.N}")
+    a, b, gap = f, g, 0
+    if order:
+        side, F = _shape(f)
+        if side == 0:
+            return absorb(mul_at(F, g, order - 1), 0)
+        g_side, G = _shape(g)
+        if g_side == 1:
+            return absorb(mul_at(f, G, order - 1), 1)
+        if side == 1:
+            a, gap = F, 1
+        elif g_side == 0:
+            b, gap = G, 1
+    products = _across_sum if gap else tensor_product_sum
+    out = [products(((a[k], b[n - gap - k]) for k in range(
+                        max(0, n - gap - b.N), min(n - gap, a.N) + 1)), f.d, n)
            for n in range(order + 1)]
-    return TruncSeries(d, order, out)
+    return TruncSeries(f.d, order, out)
 
 
 def _compositions(n, parts):
@@ -663,11 +686,10 @@ def compose_at(f, g, order):
     positive degree; the output order is admissible only when every consumed
     degree lies inside the truncations.
 
-    An outer f = I.F or F.I (absorbed) with order >= lead(g) composes as
-    g.(F o g) or (F o g).g, F o g to order - lead(g); any other f sums f_k
-    over the compositions of each degree.  An inner g = I.G or G.I turns
-    the product into I.(G.(F o g)) or ((F o g).G).I on the outer side, and
-    into G.I.(F o g) or (F o g).I.G (mul_across) on the seam.
+    An outer f = I.F or F.I (_shape) with order >= lead(g) composes as
+    the product g.(F o g) or (F o g).g, F o g to order - lead(g), and
+    mul_at takes that product through the shape of g; any other f sums f_k
+    over the compositions of each degree.
     """
     if f.d != g.d:
         raise ValueError("dimension mismatch")
@@ -683,12 +705,9 @@ def compose_at(f, g, order):
        (pos_lead is not None and order - (pos_lead - 1) * lg > g.N):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
-    if order >= lg:
-        for side in (0, 1):
-            F = absorbed(f, side)
-            if F is not None:
-                return _times_inner(compose_at(F, g, order - lg), g, side,
-                                    order)
+    side, F = _shape(f)
+    if side is not None and order >= lg:
+        return mul_at(*_ordered(g, compose_at(F, g, order - lg), side), order)
     out = [f[0]] + [_composition_degree(f.maps, g.maps, 1, n, d)
                     for n in range(1, order + 1)]
     return TruncSeries(d, order, out)
@@ -698,18 +717,6 @@ def _ordered(x, y, side):
     """The factors of x.y (side 0) or y.x (side 1): x stands on the side of
     the absorbed argument."""
     return (y, x) if side else (x, y)
-
-
-def _times_inner(fg, g, side, order):
-    """g.fg (side 0) or fg.g (side 1) to the given order, the product of an
-    absorbing outer series' F o g with its inner series g."""
-    G = absorbed(g, side)
-    if G is not None:
-        return absorb(mul_at(*_ordered(G, fg, side), order - 1), side)
-    G = absorbed(g, 1 - side)
-    if G is not None:
-        return mul_across(*_ordered(G, fg, side), order)
-    return mul_at(*_ordered(g, fg, side), order)
 
 
 def mult_inverse(f):
@@ -736,18 +743,17 @@ def mult_inverse(f):
 def comp_inverse(f):
     """Inverse for composition; needs f in G^dif.
 
-    For f = I.F or F.I (absorbed) the reversion is revert_absorbed(F, side).
+    For f = I.F or F.I (_shape) the reversion is revert_absorbed(F, side).
     Otherwise g_1 = f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ...,
     g_{m_k})), -f_1^{-1} contracted into each f_k once, as an integer
     matrix.
     """
     if not f[0].is_zero() or f.N < 1:
         raise ValueError("series is not compositionally invertible")
+    side, F = _shape(f)
+    if side is not None:
+        return revert_absorbed(F, side)
     d, N = f.d, f.N
-    for side in (0, 1):
-        F = absorbed(f, side)
-        if F is not None:
-            return revert_absorbed(F, side)
     try:
         g1 = f[1].inverse()
     except NotInvertibleError:
@@ -1010,14 +1016,13 @@ def _times_x(m, side):
 
 def red_and_redred(f, g, red_order, redred_order):
     """red(f, g) through red_order and redred(f, g) through redred_order,
-    as lists of maps, for red_order - 2 <= redred_order <= red_order: red_n
-    needs redred through degree n - 2, and redred_n needs red through n.
+    as series, for red_order - 2 <= redred_order <= red_order: red_n needs
+    redred through degree n - 2, and redred_n needs red through n.
     boxconv reads its four variants off them; boxconv_by_trees is their
     tree-sum definition.
 
-    When f = I.F (absorbed(f, 0)), red = I.R with R = F o Q, red_n =
-    x R_{n-1}, and the list of R's maps is returned third (through
-    red_order - 1 for red_order >= 1); otherwise the third value is None.
+    When f = I.F (absorbed(f, 0)), red = I.R with R = F o Q and red_n =
+    x R_{n-1}, and red records R as absorb does (for red_order >= 1).
     strip_identity(g) is G when g = I.G, and is read off g's unit slots
     otherwise."""
     d = f.d
@@ -1045,7 +1050,10 @@ def red_and_redred(f, g, red_order, redred_order):
                      if all(q[m].table for m in comp)), d, n))
         if n <= redred_order:
             redred.append(_composition_degree(strip, red, 1, n, d))
-    return red[:red_order + 1], redred, R
+    red = TruncSeries(d, red_order, red[:red_order + 1])
+    if F is not None and red_order:
+        red = _absorbing(TruncSeries(d, red_order - 1, R), 0, red.maps)
+    return red, TruncSeries(d, len(redred) - 1, redred)  # degree 0 at least
 
 
 def _spine_tail(M, kp, j, d):

@@ -25,9 +25,8 @@ import random
 from .algebra import AlgebraElement
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
                           absorb_at, absorbed, compose_at, gi_stripped,
-                          is_gdif, is_gi, is_ginv, mul_across, mul_at,
-                          mult_inverse, random_series, red_and_redred,
-                          revert_absorbed)
+                          is_gdif, is_gi, is_ginv, mul_at, mult_inverse,
+                          random_series, red_and_redred, revert_absorbed)
 from .trees import enumerate_trees, rmap
 from .verify import Report
 
@@ -72,34 +71,28 @@ def boxconv(variant, f, g):
     so its output is truncated one order lower than the inputs.  Each
     variant computes only the degrees of red and redred that it reads.
 
-    A series of the shape I.F is contracted through F.  For f = I.F,
+    A series of the shape I.F is contracted through F: for f = I.F,
     red = I.R with R = F o Q.  For g = I.G, g o red = red.(G o red) gives
-    box = red(f, g).redred(f, g), which is I.(R.redred) when f = I.F too;
-    and red(g, f) = I.(G o Q') with Q' = redred(g, f).I gives line =
-    g o Q' = Q'.(G o Q') = redred(g, f).I.(G o Q'), a product across the
-    unit (mul_across).  Neither composes g.
+    box = red(f, g).redred(f, g); and red(g, f) = I.(G o Q') with
+    Q' = redred(g, f).I gives line = g o Q' = Q'.(G o Q') =
+    redred(g, f).red(g, f).  mul_at takes each product through the shape
+    red records, so neither composes g.
     """
     _check_pair(variant, f, g)
-    d, N = f.d, f.N
+    N = f.N
     if variant == "red":
-        return TruncSeries(d, N, red_and_redred(f, g, N, N - 2)[0])
+        return red_and_redred(f, g, N, N - 2)[0]
     if variant == "redred":
-        return TruncSeries(d, N - 1, red_and_redred(f, g, N - 1, N - 1)[1])
+        return red_and_redred(f, g, N - 1, N - 1)[1]
     if absorbed(g, 0) is None:
         if variant == "box":
-            red = red_and_redred(f, g, N, N - 2)[0]
-            return compose_at(g, TruncSeries(d, N, red), N)
+            return compose_at(g, red_and_redred(f, g, N, N - 2)[0], N)
         redred = red_and_redred(g, f, N - 1, N - 1)[1]
-        return compose_at(g, absorb(TruncSeries(d, N - 1, redred), 1), N)
-    if variant == "line":
-        _, redred, R = red_and_redred(g, f, N, N - 1)
-        return mul_across(TruncSeries(d, N - 1, redred),
-                          TruncSeries(d, N - 1, R), N)
-    red, redred, R = red_and_redred(f, g, N, N - 1)
-    redred = TruncSeries(d, N - 1, redred)
-    if R is None:
-        return mul_at(TruncSeries(d, N, red), redred, N)
-    return absorb(mul_at(TruncSeries(d, N - 1, R), redred, N - 1), 0)
+        return compose_at(g, absorb(redred, 1), N)
+    if variant == "box":
+        return mul_at(*red_and_redred(f, g, N, N - 1), N)
+    red, redred = red_and_redred(g, f, N, N - 1)
+    return mul_at(redred, red, N)
 
 
 def boxconv_by_trees(variant, f, g):
@@ -197,13 +190,15 @@ def u_transform(f):
     last two agree exactly when the reversion is I.S: absorbed(rev, 0)
     reads S and that shape, from the record revert_absorbed writes.  So
     f's shape is read once, f is reverted once, F o (I.S) is composed once,
-    and one product across the unit (mul_across) gives U.
+    and one product with the reversion, which mul_at takes across the unit
+    through the same record, gives U.
     """
     F = _stripped(f, "U-transform")
-    s = absorbed(revert_absorbed(F, 0), 0)
+    rev = revert_absorbed(F, 0)
+    s = absorbed(rev, 0)
     if s is None:
         raise ArithmeticError("the three U-transform expressions disagree")
-    return mul_across(_s_both_ways(F, s), s, f.N)
+    return mul_at(_s_both_ways(F, s), rev, f.N)
 
 
 def s_prime(f):

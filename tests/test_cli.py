@@ -148,6 +148,13 @@ def _malformed_series(kind):
         obj["N"] = obj["maps"][1]["n"] = True
     elif kind == "boolean-entry":
         obj["maps"][1]["tensor"][0]["entries"] = [[True]]
+    elif kind == "zero-dimension":
+        # consistent over the zero algebra, whose 0 x 0 matrix "inverts"
+        obj = {"d": 0, "N": 1, "maps": [
+            {"n": 0, "value": {"d": 0, "entries": []}},
+            {"n": 1, "tensor": []}]}
+    elif kind == "negative-dimension":
+        obj["d"] = -1
     else:
         obj["maps"][1]["tensor"][0]["entries"] = [[float(kind)]]
     return obj
@@ -161,8 +168,9 @@ def _exits_three_with_one_error_line(capsys, *argv):
 
 @pytest.mark.parametrize("kind", ["maps-hold-an-int", "tensor-holds-an-int",
                                   "file-is-a-list", "zero-denominator",
-                                  "boolean-order", "boolean-entry", "0.5",
-                                  "1.5"])
+                                  "boolean-order", "boolean-entry",
+                                  "zero-dimension", "negative-dimension",
+                                  "0.5", "1.5"])
 def test_malformed_series_file_exits_three(capsys, tmp_path, kind):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(random_series(random.Random(7), 1, 1,
@@ -174,7 +182,8 @@ def test_malformed_series_file_exits_three(capsys, tmp_path, kind):
                  ("convolve", "--variant", "box", "--f", good, "--g", bad),
                  ("moments", "--cumulants", bad), ("cumulants", "--moments", bad),
                  ("product", "--ka", bad, "--kb", good),
-                 ("product", "--ka", good, "--kb", bad)):
+                 ("product", "--ka", good, "--kb", bad),
+                 ("product", "--ka", bad, "--kb", good, "--check")):
         _exits_three_with_one_error_line(capsys, *argv)
 
 

@@ -13,11 +13,12 @@ linear term's inverse against its d^2 x d^2 matrix inverted in M_{d^2}(Q).
 Outer series of the shapes I.F and F.I, which compose and revert through
 F, are checked against the same composition and reversion oracles at every
 order, raising exactly where compose_at's admissibility rule says.
-absorb(F, side) is checked against the products with I, mul_across(A, B)
-against mul_at(A.I, B), and the recursions of I.F inputs are counted to
-contract no top-degree table.  The reversions and U's expressions are
-counted to take no dense product at the top degree, and the transforms to
-read the shape of f once.
+absorb(F, side) is checked against the products with I, mul_at against
+the same product oracle for factors of every shape, recorded or not, and
+the recursions of I.F inputs are counted to contract no top-degree table.
+The reversions, U's expressions, and box and line of I.F pairs are counted
+to take no dense product at the top degree, and the transforms to read the
+shape of f once.
 """
 
 import json
@@ -33,7 +34,7 @@ from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
 from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
                                   absorb, absorbed, comp_inverse, compose_at,
                                   cumulants_by_recursion, is_gi,
-                                  moments_by_recursion, mul_across, mul_at,
+                                  moments_by_recursion, mul_at,
                                   mult_inverse, random_series,
                                   tensor_product_sum)
 from freeconv.transforms import boxconv, s_transform, strip_identity
@@ -419,25 +420,34 @@ def test_stripped_recursions_contract_no_top_degree_table(monkeypatch):
 
 
 def test_products_across_the_unit_take_no_top_degree_product(monkeypatch):
-    # the reversions multiply S, one degree below the reversion, and U's
-    # expressions multiply across the unit; a dense product with N
-    # arguments means a table of f.I or I.S was multiplied
+    # the reversions multiply S, one degree below the reversion, U's
+    # expressions multiply across the unit, and box and line of a gi pair
+    # multiply through the shape red records; a dense product with N
+    # arguments means a table of f.I, I.S or red was multiplied
     degrees = []
-    real = multiseries._products
 
-    def counted(a, b, d):
-        degrees.append(a.n + b.n)
-        return real(a, b, d)
+    def counted(name):
+        real = getattr(multiseries, name)
 
-    monkeypatch.setattr(multiseries, "_products", counted)
+        def product(a, b, d):
+            degrees.append((name, a.n + b.n))
+            return real(a, b, d)
+        return product
+
+    for name in ("_products", "_sandwich"):
+        monkeypatch.setattr(multiseries, name, counted(name))
     N = 4
-    f = random_series(random.Random(10), 2, N, "gi")
+    rng = random.Random(10)
+    f, g = (random_series(rng, 2, N, "gi") for _ in range(2))
     for call in (lambda: comp_inverse(f),
                  lambda: comp_inverse(absorb(absorbed(f, 0), 1)),
-                 lambda: transforms.u_transform(f)):
+                 lambda: transforms.u_transform(f),
+                 lambda: boxconv("box", f, g),
+                 lambda: boxconv("line", f, g)):
         degrees.clear()
         call()
-        assert degrees and max(degrees) < N
+        assert degrees and all(n < N for name, n in degrees
+                               if name == "_products")
 
 
 def test_transforms_read_the_shape_of_f_once(monkeypatch):
@@ -463,8 +473,8 @@ def test_transforms_read_the_shape_of_f_once(monkeypatch):
 def test_absorb_is_the_product_with_the_identity(kind, d, order):
     F = random_series(random.Random(f"absorb-{kind}-{d}"), d, order, kind)
     ident = TruncSeries.identity(d, order + 1)
-    assert absorb(F, 0) == mul_at(ident, F, order + 1)
-    assert absorb(F, 1) == mul_at(F, ident, order + 1)
+    assert absorb(F, 0) == _mul_at(ident, F, order + 1)
+    assert absorb(F, 1) == _mul_at(F, ident, order + 1)
     for side in (0, 1):
         assert absorbed(absorb(F, side), side) == F
 
@@ -503,26 +513,50 @@ def test_equality_hashing_and_json_ignore_the_record(d):
         assert hash(absorb(F, 1)) == hash(f)
 
 
+def _product_admissible(f, g, order):
+    """mul_at's rule: order <= min(f.N + lead(g), g.N + lead(f)), where a
+    zero factor bounds nothing."""
+    lf, lg = f.lead(), g.lead()
+    return ((lg is None or order <= f.N + lg)
+            and (lf is None or order <= g.N + lf))
+
+
+def _factor(rng, d, N, kind, form):
+    """A factor of order 1..N + 1: a drawn series (kind 'zero' is the zero
+    series), plain, absorbed on one side, or a record-free copy of that."""
+    order = rng.randint(1, N)
+    X = (TruncSeries.zero(d, order) if kind == "zero"
+         else random_series(rng, d, order, kind))
+    if form == "plain":
+        return X
+    f = absorb(X, form.startswith("F.I"))
+    return TruncSeries(d, f.N, f.maps) if form.endswith("copy") else f
+
+
 @settings(max_examples=60, deadline=None)
 @given(kinds=st.tuples(*[st.sampled_from(["ginv", "gdif", "gi", "mult",
                                           "zero"])] * 2),
-       shape=st.sampled_from(_SHAPES), seed=st.integers(0, 2 ** 16))
-def test_mul_across_matches_mul_at_of_a_times_the_unit(kinds, shape, seed):
-    # A.I.B on outer products equals mul_at(A.I, B) at every order, and
+       forms=st.tuples(*[st.sampled_from(["plain", "I.F", "F.I", "I.F copy",
+                                          "F.I copy"])] * 2),
+       shape=st.sampled_from([(d, N) for d, N in _SHAPES
+                              if d < 3 or N <= 2]),
+       seed=st.integers(0, 2 ** 16))
+def test_mul_at_matches_the_product_oracle_for_every_shape(kinds, forms,
+                                                           shape, seed):
+    # the product of any two factors, whatever shape they have and whether
+    # absorb recorded it, equals the dense degree sums at every order, and
     # raises where that product is not determined by the two truncations
     d, N = shape
     rng = random.Random(seed)
-    a, b = (_series_of(rng, d, rng.randint(1, N), kind) for kind in kinds)
+    f, g = (_factor(rng, d, N, kind, form)
+            for kind, form in zip(kinds, forms))
+    expected = _mul_at(f, g, N + 1)
     for order in range(N + 2):
-        try:
-            expected = mul_at(absorb(a, 1), b, order)
-        except ValueError as err:
-            with pytest.raises(ValueError) as raised:
-                mul_across(a, b, order)
-            assert "not determined" in str(err)
-            assert str(raised.value) == str(err)
+        if _product_admissible(f, g, order):
+            assert mul_at(f, g, order) == expected.truncate(order)
         else:
-            assert mul_across(a, b, order) == expected
+            with pytest.raises(ValueError, match="not determined"):
+                mul_at(f, g, order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -731,11 +765,11 @@ def test_s_is_solved_once(monkeypatch, op):
 
 
 def test_u_transform_multiplies_across_the_unit_once(monkeypatch):
-    # one mult_inverse checks S's fixed point, and one product gives U
-    calls = _transform_calls(monkeypatch,
-                             ("mul_across", "mult_inverse", "mul_at"))
+    # one mult_inverse checks S's fixed point, and one product with the
+    # reversion I.S gives U
+    calls = _transform_calls(monkeypatch, ("mult_inverse", "mul_at"))
     transforms.u_transform(random_series(random.Random(4), 2, 3, "gi"))
-    assert sorted(calls) == ["mul_across", "mult_inverse"]
+    assert sorted(calls) == ["mul_at", "mult_inverse"]
 
 
 def test_operad_suite_checks_each_series_once(monkeypatch):
