@@ -13,9 +13,13 @@ All arithmetic is exact.  A map stores one integer table over one common
 denominator, and every operation here runs on that pair: sums and scaling,
 the unit slots, evaluation, products, compositions, both inverses, the tree
 sums and the degree-by-degree recursions that compute the same series as
-the tree sums of the boxed convolutions and the moments.  Evaluation at
-algebra elements is the contraction of composition, against one degree-0
-map per argument.  Fraction entries cross into a map through _to_ints (the
+the tree sums of the boxed convolutions and the moments.  Contraction goes
+slot by slot (_slot_step).  Composition contracts each f_k with one state
+per consumed degree, since every composition that has consumed the same
+degree meets the same output keys, so degree n takes polynomially many
+slot steps where it has 2^(n-1) compositions (_composition_degree).
+Evaluation at algebra elements is one contraction against a degree-0 map
+per argument.  Fraction entries cross into a map through _to_ints (the
 checked constructor, evaluation's arguments and the inverse) and out of it
 through _to_element (evaluation's value and the ``tensor`` view).
 MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
@@ -593,14 +597,22 @@ def mul_at(f, g, order):
        order > g.N + (lf if lf is not None else order):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
+    return _mul_shaped(f, g, order, None, None)
+
+
+def _mul_shaped(f, g, order, f_shape, g_shape):
+    """mul_at past its admissibility check, which holds again one order
+    lower on F or G; f_shape and g_shape are the _shape of f and g where
+    it has been read, else None, so the recursion reads the shape of the
+    factor it keeps only once."""
     a, b, gap = f, g, 0
     if order:
-        side, F = _shape(f)
+        side, F = f_shape or _shape(f)
         if side == 0:
-            return absorb(mul_at(F, g, order - 1), 0)
-        g_side, G = _shape(g)
+            return absorb(_mul_shaped(F, g, order - 1, None, g_shape), 0)
+        g_side, G = g_shape or _shape(g)
         if g_side == 1:
-            return absorb(mul_at(f, G, order - 1), 1)
+            return absorb(_mul_shaped(f, G, order - 1, (side, F), None), 1)
         if side == 1:
             a, gap = F, 1
         elif g_side == 0:
@@ -612,69 +624,106 @@ def mul_at(f, g, order):
     return TruncSeries(f.d, order, out)
 
 
-def _compositions(n, parts):
-    """All ways to write n as an ordered sum of `parts` positive integers."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
 # The k-fold contraction f_k(g_{m_1}(...), ..., g_{m_k}(...)) proceeds slot
-# by slot on integer coordinate vectors; it serves composition, the
-# reversion and every tree sum.
+# by slot on integer coordinate vectors (_slot_step).  A state maps
+# (output prefix, remaining f-key suffix) to a vector, the prefix being the
+# g keys contracted so far, concatenated.  _contract takes one table per
+# slot and serves evaluation and every tree sum; _composition_degree sums
+# the states of all compositions that have consumed the same degree, whose
+# prefixes have the same length.
+
+def _slot_step(state, tbl, dd, out=None):
+    """Contract the next slot of every state entry against the table tbl:
+    (prefix, (j, rest)) -> v adds tbl[key][j] v at (prefix + key, rest) for
+    each key of tbl, into out (a new dict when None), which is returned."""
+    new = {} if out is None else out
+    for (prefix, jsuf), vec in state.items():
+        j0, rest = jsuf[0], jsuf[1:]
+        for key_i, avec in tbl.items():
+            c = avec[j0]
+            if not c:
+                continue
+            nk = (prefix + key_i, rest)
+            cur = new.get(nk)
+            if cur is None:
+                new[nk] = [c * x for x in vec]
+            else:
+                for t in range(dd):
+                    cur[t] += c * vec[t]
+    return new
+
 
 def _contract(fk_table, fk_den, parts, dd):
-    """One composition term: contract f_k against the k part tables.
+    """f_k contracted against one (table, denominator) part per slot.
 
     Returns ({concatenated output key: integer vector}, denominator).
     """
     state = {((), j): vec for j, vec in fk_table.items()}
-    for tbl, _ in parts:
-        new = {}
-        for (prefix, jsuf), vec in state.items():
-            j0, rest = jsuf[0], jsuf[1:]
-            for key_i, avec in tbl.items():
-                c = avec[j0]
-                if not c:
-                    continue
-                nk = (prefix + (key_i,), rest)
-                cur = new.get(nk)
-                if cur is None:
-                    new[nk] = [c * x for x in vec]
-                else:
-                    for t in range(dd):
-                        cur[t] += c * vec[t]
-        state = new
     den = fk_den
-    for _, dn in parts:
+    for tbl, dn in parts:
+        state = _slot_step(state, tbl, dd)
         den *= dn
-    out = {}
-    for (prefix, _), vec in state.items():
-        key = ()
-        for piece in prefix:
-            key += piece
-        out[key] = vec
-    return out, den
+    return {prefix: vec for (prefix, _), vec in state.items()}, den
 
 
-def _composition_degree(f_maps, g_maps, k_min, n, d):
+def _composition_degree(f_maps, g_maps, k_min, n, d, first=None):
     """The degree-n map summing f_k(g_{m_1}, ..., g_{m_k}) over k >= k_min
     and m_1 + ... + m_k = n, skipping zero or missing g_m; f_maps and
-    g_maps are indexed by degree."""
-    g_tabs = [(m.table, m.den) for m in g_maps]
+    g_maps are indexed by degree.  With `first`, the table of a degree-1
+    map over denominator 1, every f_k reads it in its first slot and g in
+    the other k - 1, whose degrees sum to n - 1.
+
+    A term with one g slot reads the top g (degree n, or n - 1 after
+    `first`) alone and is one _contract.  Otherwise f_k keeps one state
+    per consumed degree s (_slot_step), and a slot contracts g_m only while
+    s + m leaves a degree for each later slot; the last slot takes
+    m = n - s alone.  These terms read g below the top only, each brought
+    to their least common denominator D, so the term of f_k is over
+    den(f_k) D^(number of g slots) and no table of the top degree is
+    copied.
+    """
+    dd = d * d
+    s0 = 0 if first is None else 1  # the degree that `first` consumes
+    top = n - s0
+    below = [m for m in range(1, min(top, len(g_maps))) if g_maps[m].table]
+    D = lcm(*(g_maps[m].den for m in below))
+    g_tabs = {}
+    for m in below:
+        up, table = D // g_maps[m].den, g_maps[m].table
+        g_tabs[m] = table if up == 1 else {
+            key: [up * x for x in vec] for key, vec in table.items()}
+    head = [] if first is None else [(first, 1)]
 
     def terms():
         for k in range(k_min, min(n, len(f_maps) - 1) + 1):
             fk = f_maps[k]
             if fk.is_zero():
                 continue
-            for comp in _compositions(n, k):
-                if all(m < len(g_tabs) and g_tabs[m][0] for m in comp):
-                    yield _contract(fk.table, fk.den, [g_tabs[m] for m in comp],
-                                    d * d)
+            if k - s0 == 1:
+                if top < len(g_maps) and g_maps[top].table:
+                    yield _contract(fk.table, fk.den, head + [
+                        (g_maps[top].table, g_maps[top].den)], dd)
+                continue
+            state = {((), j): vec for j, vec in fk.table.items()}
+            if first is not None:
+                state = _slot_step(state, first, dd)
+            states = {s0: state}
+            for left in reversed(range(k - s0)):  # g slots after this one
+                new = {}
+                for s, state in states.items():
+                    if not state:
+                        continue
+                    for m in ([n - s] if not left else below):
+                        if s + m > n - left:
+                            break
+                        if m in g_tabs:
+                            new[s + m] = _slot_step(state, g_tabs[m], dd,
+                                                    new.get(s + m))
+                states = new
+            if states.get(n):
+                # popped, so the term is the only table left to free
+                yield ({prefix: vec for (prefix, _), vec
+                        in states.pop(n).items()}, fk.den * D ** (k - s0))
     return _merge(terms(), d, n)
 
 
@@ -987,7 +1036,8 @@ _ZERO_VALUE = ({}, 1, None)
 #
 # red_n reads redred only below degree n - 1 and m_n reads m only below
 # degree n, so each output grows one degree per step on the integer kernel:
-# one _contract per composition, no tree walked.
+# one _composition_degree per degree (red_n with x in f's first slot), no
+# tree walked.
 #
 # A series that absorbs its first argument, f = I.F (absorbed), is
 # contracted through F, whose degree-n table is d^2 times smaller than
@@ -1026,7 +1076,7 @@ def red_and_redred(f, g, red_order, redred_order):
     strip_identity(g) is G when g = I.G, and is read off g's unit slots
     otherwise."""
     d = f.d
-    x = (MultiMap.identity(d).table, 1)
+    x = MultiMap.identity(d).table
     F, G = absorbed(f, 0), absorbed(g, 0)
     strip = G.maps if G is not None else [None] + [
         g[m + 1].unit_in_first_slot() for m in range(1, redred_order + 1)]
@@ -1041,13 +1091,7 @@ def red_and_redred(f, g, red_order, redred_order):
                 R.append(_composition_degree(F.maps, q, 1, n - 1, d))
                 red.append(_times_x(R[n - 1], 0))
             else:
-                red.append(_merge(
-                    (_contract(f[r + 1].table, f[r + 1].den,
-                               [x] + [(q[m].table, q[m].den) for m in comp],
-                               d * d)
-                     for r in range(1, n) if not f[r + 1].is_zero()
-                     for comp in _compositions(n - 1, r)
-                     if all(q[m].table for m in comp)), d, n))
+                red.append(_composition_degree(f.maps, q, 2, n, d, first=x))
         if n <= redred_order:
             redred.append(_composition_degree(strip, red, 1, n, d))
     red = TruncSeries(d, red_order, red[:red_order + 1])

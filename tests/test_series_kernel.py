@@ -18,7 +18,10 @@ the same product oracle for factors of every shape, recorded or not, and
 the recursions of I.F inputs are counted to contract no top-degree table.
 The reversions, U's expressions, and box and line of I.F pairs are counted
 to take no dense product at the top degree, and the transforms to read the
-shape of f once.
+shape of f once.  The composition kernel, one state per consumed degree, is
+checked against one contraction per composition and counted to take
+polynomially many slot steps; mul_at is counted to read the shape of the
+factor its recursion keeps once.
 """
 
 import json
@@ -31,12 +34,12 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
                               random_element_from)
-from freeconv.multiseries import (MultiMap, TruncSeries, _compositions,
-                                  absorb, absorbed, comp_inverse, compose_at,
+from freeconv.multiseries import (MultiMap, TruncSeries, absorb, absorbed,
+                                  comp_inverse, compose_at,
                                   cumulants_by_recursion, is_gi,
                                   moments_by_recursion, mul_at,
-                                  mult_inverse, random_series,
-                                  tensor_product_sum)
+                                  mult_inverse, random_multimap,
+                                  random_series, tensor_product_sum)
 from freeconv.transforms import boxconv, s_transform, strip_identity
 from freeconv.verify import verify_operad_identities
 import freeconv.multiseries as multiseries
@@ -134,19 +137,32 @@ def _contract(fk_table, fk_den, parts, dd):
     return out, den
 
 
-def _composition_sum(f, g_maps, k_min, n):
-    d = f.d
+def _compositions(n, parts):
+    """All ways to write n as an ordered sum of `parts` positive integers."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(1, n - parts + 2):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+def _composition_sum(f_maps, g_maps, k_min, n, head=None):
+    """With a degree-1 map `head`, f_k reads it in its first slot and g in
+    the other k - 1, over the compositions of n - 1."""
+    d = f_maps[0].d
     dd = d * d
     acc = {}
-    for k in range(k_min, min(n, f.N) + 1):
-        if f[k].is_zero():
+    lead = [] if head is None else [_int_table(head)]
+    for k in range(k_min, min(n, len(f_maps) - 1) + 1):
+        if f_maps[k].is_zero():
             continue
-        fk_table, fk_den = _int_table(f[k])
-        for comp in _compositions(n, k):
+        fk_table, fk_den = _int_table(f_maps[k])
+        for comp in _compositions(n - len(lead), k - len(lead)):
             if any(m >= len(g_maps) or g_maps[m].is_zero() for m in comp):
                 continue
-            table, den = _contract(fk_table, fk_den,
-                                   [_int_table(g_maps[m]) for m in comp], dd)
+            table, den = _contract(fk_table, fk_den, lead + [
+                _int_table(g_maps[m]) for m in comp], dd)
             for key, vec in table.items():
                 cur = acc.get(key)
                 if cur is None:
@@ -161,7 +177,7 @@ def _composition_sum(f, g_maps, k_min, n):
 
 def _compose_at(f, g, order):
     d = f.d
-    out = [f[0]] + [MultiMap(d, n, _composition_sum(f, g.maps, 1, n))
+    out = [f[0]] + [MultiMap(d, n, _composition_sum(f.maps, g.maps, 1, n))
                     for n in range(1, order + 1)]
     return TruncSeries(d, order, out)
 
@@ -197,7 +213,7 @@ def _comp_inverse(f):
                          for i in range(d * d)})]
     for n in range(2, N + 1):
         g.append(MultiMap(d, n, {key: l_inv(val).scale(-1) for key, val
-                                 in _composition_sum(f, g, 2, n).items()}))
+                                 in _composition_sum(f.maps, g, 2, n).items()}))
     return TruncSeries(d, N, g)
 
 
@@ -392,18 +408,80 @@ def test_absorbing_series_compose_and_revert_below_the_top_degree(
         assert degrees and max(degrees) <= 3
 
 
+def _degree_maps(rng, d, length):
+    """Maps of degrees 0..length - 1 as the recursions hand them to a
+    composition: some zero, and denominators mixed by a further factor."""
+    maps = []
+    for m in range(length):
+        if not m or rng.random() < 0.2:
+            maps.append(MultiMap.zero(d, m))
+        else:
+            c = Fraction(1, rng.choice((1, 1, 4, 5, 9)))
+            maps.append(random_multimap(rng, d, m, 2).scale(c))
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(1, 10), (2, 5), (3, 3)]),
+       k_min=st.sampled_from([1, 2]), head=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_composition_degree_matches_the_composition_oracle(shape, k_min,
+                                                           head, seed):
+    # one state per consumed degree sums the same terms as one contraction
+    # per composition: at k_min = 2 (the reversion), with x in the first
+    # slot (red of a general f), with zero g_m, and with f and g lists that
+    # stop below degree n, as the lists of the recursions grow
+    d, N = shape
+    rng = random.Random(seed)
+    n = N if rng.random() < 0.5 else rng.randint(1, N)
+    f_maps, g_maps = (_degree_maps(rng, d, n + 1 if rng.random() < 0.5
+                                   else rng.randint(1, n))
+                      for _ in range(2))
+    x = MultiMap.identity(d) if head else None
+    k_min = 2 if head else k_min
+    got = multiseries._composition_degree(f_maps, g_maps, k_min, n, d,
+                                          first=x.table if head else None)
+    assert got == MultiMap(d, n, _composition_sum(f_maps, g_maps, k_min, n,
+                                                  x))
+
+
+def test_composition_degree_makes_polynomially_many_slot_steps(monkeypatch):
+    # at d = 1 with every map nonzero, one contraction per composition
+    # makes (n + 1) 2^(n - 2) slot steps at degree n, 576 at n = 8 and
+    # 13,312 at n = 12; one state per consumed degree makes 183 and 848
+    steps = []
+    real = multiseries._slot_step
+
+    def counted(state, tbl, dd, out=None):
+        steps.append(1)
+        return real(state, tbl, dd, out)
+
+    monkeypatch.setattr(multiseries, "_slot_step", counted)
+    ones = [MultiMap(1, m, {(0,) * m: AlgebraElement.unit(1)})
+            for m in range(13)]
+    for n in (8, 12):
+        steps.clear()
+        out = multiseries._composition_degree(ones, ones, 1, n, 1)
+        assert out == MultiMap(1, n, {(0,) * n: AlgebraElement.unit(1)
+                                      .scale(2 ** (n - 1))})
+        assert len(steps) <= n ** 4 // 16 < (n + 1) * 2 ** (n - 2)
+
+
 def test_stripped_recursions_contract_no_top_degree_table(monkeypatch):
     # for I.F inputs red, box, line and the moments contract F, K and the
     # stripped g, never a degree-N table of f, g or k; the cumulant solve
-    # reads K only below the degree it solves for
+    # reads K only below the degree it solves for.  A slot step sees the
+    # slots its state has left, its own included: at a term's first slot
+    # that is the degree of the map contracted
     arities = []
-    real = multiseries._contract
+    real = multiseries._slot_step
 
-    def counted(fk_table, fk_den, parts, dd):
-        arities.append(len(parts))
-        return real(fk_table, fk_den, parts, dd)
+    def counted(state, tbl, dd, out=None):
+        if state:
+            arities.append(len(next(iter(state))[1]))
+        return real(state, tbl, dd, out)
 
-    monkeypatch.setattr(multiseries, "_contract", counted)
+    monkeypatch.setattr(multiseries, "_slot_step", counted)
     N = 4
     rng = random.Random(9)
     f = random_series(rng, 2, N, "gi")
@@ -557,6 +635,18 @@ def test_mul_at_matches_the_product_oracle_for_every_shape(kinds, forms,
         else:
             with pytest.raises(ValueError, match="not determined"):
                 mul_at(f, g, order)
+
+
+def test_mul_at_reads_the_shape_of_the_kept_factor_once(shape_passes):
+    # f.(G.I) = (f.G).I keeps f one order lower: the shape of a record-free
+    # f with zero constant term is read once, one pass per side, not again
+    # at each level of the recursion
+    rng = random.Random(12)
+    f = random_series(rng, 2, 3, "mult")
+    G = random_series(rng, 2, 2, "ginv")
+    g = absorb(G, 1)
+    assert mul_at(f, g, 3) == _mul_at(f, g, 3)
+    assert shape_passes == [3, 3]
 
 
 @settings(max_examples=40, deadline=None)
