@@ -32,15 +32,15 @@ through F: (I.F).g = I.(F.g) and f.(G.I) = (f.G).I one order lower, and
 (F.I).g and f.(I.G) as an outer product of a column and a row per entry,
 with no sums; I.F or F.I composes as g.(F o g) or (F o g).g and reverts to
 I.S or S.I by solving S.(F o g) = 1 or (F o g).S = 1 for S degree by degree
-(revert_absorbed), so its top degree is never a sum over compositions and
-the reversion's products run on S.  The degree-by-degree recursions behind
-the boxed convolutions and the moment-cumulant conversions contract F in
-place of f = I.F in the same way.  Operations that mix
-two series of different truncation orders are rejected at the public
-level; the ``mul_at``/``compose_at`` variants compute a requested output
-order and raise unless the inputs genuinely determine every coefficient up
-to it, which is what the transform identities rely on (a factor with zero
-constant term raises the usable order of the other factor).
+(revert_absorbed, which returns F o g too), so its top degree is never a sum
+over compositions and the reversion's products run on S.  The
+degree-by-degree recursions behind the boxed convolutions and the
+moment-cumulant conversions contract F in place of f = I.F in the same way.
+Operations that mix two series of different truncation orders are rejected
+at the public level; the ``mul_at``/``compose_at`` variants compute a
+requested output order and raise unless the inputs genuinely determine every
+coefficient up to it, which is what the transform identities rely on (a
+factor with zero constant term raises the usable order of the other factor).
 """
 
 from fractions import Fraction
@@ -792,7 +792,7 @@ def mult_inverse(f):
 def comp_inverse(f):
     """Inverse for composition; needs f in G^dif.
 
-    For f = I.F or F.I (_shape) the reversion is revert_absorbed(F, side).
+    For f = I.F or F.I (_shape) the reversion is revert_absorbed's.
     Otherwise g_1 = f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ...,
     g_{m_k})), -f_1^{-1} contracted into each f_k once, as an integer
     matrix.
@@ -801,7 +801,7 @@ def comp_inverse(f):
         raise ValueError("series is not compositionally invertible")
     side, F = _shape(f)
     if side is not None:
-        return revert_absorbed(F, side)
+        return revert_absorbed(F, side)[0]
     d, N = f.d, f.N
     try:
         g1 = f[1].inverse()
@@ -819,11 +819,10 @@ def comp_inverse(f):
 
 
 def revert_absorbed(F, side):
-    """comp_inverse of I.F (side 0) or F.I (side 1), given F: the series
-    g = I.S or S.I with g.(F o g) = I or (F o g).g = I, that is S.(F o g) = 1
-    or (F o g).S = 1.  With c = F_0^{-1}, S_0 = c and S_{n-1} is
-    sum_{a<n} S_{a-1} (x) (F o g)_{n-a} (-c) or its mirror, each (F o g)_j
-    built once with -c multiplied in, every product taken on S."""
+    """(comp_inverse of I.F (side 0) or F.I (side 1), C = F o g), given F:
+    g = I.S or S.I solves g.C = I or C.g = I, that is S.C = 1 or C.S = 1.
+    With c = F_0^{-1}, S_0 = c and S_{n-1} = (sum_{a<n} S_{a-1} (x) C_{n-a})
+    (x) (-c) or its mirror; C has order F.N, each C_j composed once."""
     d, N = F.d, F.N + 1
     try:
         c = F[0].inverse()
@@ -832,14 +831,15 @@ def revert_absorbed(F, side):
     neg = c.scale(-1)
     S = [c]
     g = [MultiMap.zero(d, 0), _times_x(c, side)]
-    scaled = [None]
+    C = [F[0]]
     for n in range(2, N + 1):
-        fg = _composition_degree(F.maps, g, 1, n - 1, d)
-        scaled.append(tensor_product_sum([_ordered(fg, neg, side)], d, n - 1))
-        S.append(tensor_product_sum((_ordered(S[a - 1], scaled[n - a], side)
-                                     for a in range(1, n)), d, n - 1))
+        C.append(_composition_degree(F.maps, g, 1, n - 1, d))
+        sc = tensor_product_sum((_ordered(S[a - 1], C[n - a], side)
+                                 for a in range(1, n)), d, n - 1)
+        S.append(tensor_product_sum([_ordered(sc, neg, side)], d, n - 1))
         g.append(_times_x(S[n - 1], side))
-    return _absorbing(TruncSeries(d, N - 1, S), side, g)
+    return (_absorbing(TruncSeries(d, N - 1, S), side, g),
+            TruncSeries(d, N - 1, C))
 
 
 # -- tree-indexed evaluation ------------------------------------------------------
@@ -1047,13 +1047,13 @@ _ZERO_VALUE = ({}, 1, None)
 #   m = k o P = P.(K o P) for k = I.K, so with m = I.M
 #       M_j = (K o P)_j + sum_{a=2}^{j+1} M_{a-2}.x.(K o P)_{j+1-a}
 #
-# The cumulants solve the second equation for K_j given M, through
-# (K o P)_j = K_j + (the composition over K below degree j).  The sum is a
-# product across the unit (_sandwich).  Cumulant and moment series have
-# the I.K shape, so the conversions run on K and M alone; red keeps the
-# full recursion for an f outside it.  None of these contracts a table of
-# the top degree, and for g = I.G boxconv reads box and line off the same
-# red/redred pass.
+# With P_1 = I, (K o P)_j = K_j + (the composition over K below degree j):
+# the moments read K_j as it is, and the cumulants solve the second equation
+# for K_j given M.  The sum is a product across the unit (_sandwich).
+# Cumulant and moment series have the I.K shape, so the conversions run on K
+# and M alone; red keeps the full recursion for an f outside it.  None of
+# these contracts a table of the top degree, and for g = I.G boxconv reads
+# box and line off the same red/redred pass.
 
 
 def _times_x(m, side):
@@ -1109,17 +1109,16 @@ def _spine_tail(M, kp, j, d):
 
 def moments_by_recursion(K):
     """M of the moment series m = I.M of the cumulant series k = I.K: M_j is
-    (K o P)_j plus _spine_tail, with P_1 = I and P_j = x.M_{j-2}.x over the
-    moments found so far.  The tree sum m_n = sum over n-vertex trees t of
-    k_t defines m."""
+    (K o P)_j = K_j + (K below degree j) o P, plus _spine_tail, with P_1 = I
+    and P_j = x.M_{j-2}.x over the moments found so far.  The tree sum
+    m_n = sum over n-vertex trees t of k_t defines m."""
     d = K.d
     p = [MultiMap.zero(d, 0), MultiMap.identity(d)]
-    kp, M = [K[0]], []
+    kp, M = [], []
     for j in range(K.N + 1):
         if j >= 2:
             p.append(_times_x(_times_x(M[j - 2], 1), 0))
-        if j >= 1:
-            kp.append(_composition_degree(K.maps, p, 1, j, d))
+        kp.append(K[j] + _composition_degree(K.maps[:j], p, 1, j, d))
         M.append(kp[j] + _spine_tail(M, kp, j, d))
     return TruncSeries(d, K.N, M)
 

@@ -9,22 +9,22 @@ composition identities box = g o red and redred = strip_identity(g) o red,
 which walk no tree.  The S-transform of f = I.F is the series S with
 f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
 F.I instead.  Each transform reads f's shape once, as F, and reverts I.F
-or F.I from F.  No transform is returned unchecked: S is read off one
-reversion of f that must factor as I.S, and must solve its fixed-point
-equation S = (F o (I.S))^{-1}; S' is read off a reversion that must factor
-as S'.I.  absorbed reads each from the record revert_absorbed writes.
-U's three expressions S^{-1}.I.S, (F o (I.S)).I.S and (F.I) o f^{o-1}
-agree exactly when S passes that check and the reversion has the shape
-I.S, since X -> X.I.S (S_0 invertible) and X -> (F.I) o X (zero-constant
-X) are injective; so U is checked by those two and computed as one product
-across the unit.
+or F.I from F; absorbed reads S or S' off the reversion's record, which
+must factor as I.S or S'.I.  S is checked against S = C^{-1} on the
+composite C = F o (I.S) that revert_absorbed returns: a check of the solve
+step only, as C and S both come from the reversion's g, so that g reverts
+f and C = F o g are left to the tests.  U's three expressions S^{-1}.I.S,
+C.I.S and (F.I) o f^{o-1} agree exactly when S = C^{-1} and the reversion
+has the shape I.S, since X -> X.I.S (S_0 invertible) and X -> (F.I) o X
+(zero-constant X) are injective; so U takes the same two checks and is one
+product, C times the reversion, across the unit.
 """
 
 import random
 
 from .algebra import AlgebraElement
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
-                          absorb_at, absorbed, compose_at, gi_stripped,
+                          absorbed, compose_at, gi_stripped,
                           is_gdif, is_gi, is_ginv, mul_at, mult_inverse,
                           random_series, red_and_redred, revert_absorbed)
 from .trees import enumerate_trees, rmap
@@ -152,28 +152,27 @@ def _stripped(f, name):
     return F
 
 
-def _s_both_ways(F, s):
-    """C = F o (I.S), f = I.F, once S, read off the reversion
-    f^{o-1} = I.S, is checked against S = C^{-1}.  Degree m of C reads S
-    only below degree m, so S is its only solution and one check suffices;
-    once it passes, C is S^{-1}."""
-    C = compose_at(F, absorb_at(s, 0, F.N), F.N)
+def _check_fixed_point(C, s):
+    """S = C^{-1}: the left inverse revert_absorbed solved against the right
+    one mult_inverse builds, a check of the solve step, not of C."""
     if mult_inverse(C) != s:
         raise ArithmeticError("S does not solve its fixed-point equation")
-    return C
 
 
 def s_transform(f):
     """S with f^{o-1} = I.S; one order shorter than f.
 
     Solved once, by reverting f, read off the reversion I.S by absorbed,
-    and checked against the fixed-point equation S = (F o (I.S))^{-1}.
+    and checked against S = C^{-1} on the composite C = F o (I.S) the
+    reversion returns, once the reversion is freed.
     """
     F = _stripped(f, "S-transform")
-    s = absorbed(revert_absorbed(F, 0), 0)
+    rev, C = revert_absorbed(F, 0)
+    s = absorbed(rev, 0)
+    del rev
     if s is None:
         raise ArithmeticError("the reversion of f does not factor as I.S")
-    _s_both_ways(F, s)
+    _check_fixed_point(C, s)
     return s
 
 
@@ -189,16 +188,17 @@ def u_transform(f):
     F.I, which is in G^dif, is injective on zero-constant series, so the
     last two agree exactly when the reversion is I.S: absorbed(rev, 0)
     reads S and that shape, from the record revert_absorbed writes.  So
-    f's shape is read once, f is reverted once, F o (I.S) is composed once,
-    and one product with the reversion, which mul_at takes across the unit
-    through the same record, gives U.
+    f's shape is read once, f is reverted once, and one product of the
+    composite C = F o (I.S) it returns with the reversion, which mul_at
+    takes across the unit through the same record, gives U.
     """
     F = _stripped(f, "U-transform")
-    rev = revert_absorbed(F, 0)
+    rev, C = revert_absorbed(F, 0)
     s = absorbed(rev, 0)
     if s is None:
         raise ArithmeticError("the three U-transform expressions disagree")
-    return mul_at(_s_both_ways(F, s), rev, f.N)
+    _check_fixed_point(C, s)
+    return mul_at(C, rev, f.N)
 
 
 def s_prime(f):
@@ -209,7 +209,7 @@ def s_prime(f):
     absorbed(h, 1), which also checks that it factors as S'.I, from the
     record revert_absorbed writes.
     """
-    h = revert_absorbed(_stripped(f, "primed transform"), 1)
+    h = revert_absorbed(_stripped(f, "primed transform"), 1)[0]
     sp = absorbed(h, 1)
     if sp is None:
         raise ArithmeticError("the reversion of F.I does not factor as S'.I")

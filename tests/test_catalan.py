@@ -37,6 +37,14 @@ def test_compose_decompose_invert(fam):
             assert catalan_compose(fam, a, b) == x
 
 
+def test_catalan_iso_maps_a_900_level_right_comb():
+    # the memo costs no recursion level of its own, so a right comb nested
+    # 900 deep maps whole; it is one block in ncp1
+    n = 900
+    t = tree_from_text("(|," * n + "|" + ")" * n)
+    assert catalan_iso("y", "ncp1", t) == (tuple(range(1, n + 1)),)
+
+
 def test_decompose_rejects_the_unit():
     with pytest.raises(ValueError):
         catalan_decompose("y", ())

@@ -21,7 +21,9 @@ to take no dense product at the top degree, and the transforms to read the
 shape of f once.  The composition kernel, one state per consumed degree, is
 checked against one contraction per composition and counted to take
 polynomially many slot steps; mul_at is counted to read the shape of the
-factor its recursion keeps once.
+factor its recursion keeps once.  revert_absorbed is checked to return the
+composite F o g it solved, which S inverts on both sides, and
+moments_by_recursion to compose K only below the degree it computes.
 """
 
 import json
@@ -39,7 +41,8 @@ from freeconv.multiseries import (MultiMap, TruncSeries, absorb, absorbed,
                                   cumulants_by_recursion, is_gi,
                                   moments_by_recursion, mul_at,
                                   mult_inverse, random_multimap,
-                                  random_series, tensor_product_sum)
+                                  random_series, revert_absorbed,
+                                  tensor_product_sum)
 from freeconv.transforms import boxconv, s_transform, strip_identity
 from freeconv.verify import verify_operad_identities
 import freeconv.multiseries as multiseries
@@ -445,6 +448,44 @@ def test_composition_degree_matches_the_composition_oracle(shape, k_min,
                                                   x))
 
 
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("d, N", [(1, 6), (2, 4), (3, 3)])
+def test_revert_absorbed_returns_the_composite_it_solved(d, N, side):
+    # g reverts f = I.F or F.I on both sides, and beside it comes C = F o g,
+    # the series that compose_at builds, which S inverts on both sides.  C
+    # and S both come from g, so only the reversion identity sees a wrong g.
+    # F's degrees carry mixed denominators, some of them zero
+    rng = random.Random(f"revert-{d}-{N}-{side}")
+    F0 = random_series(rng, d, 0, "ginv")[0].scale(Fraction(2, 3))
+    F = TruncSeries(d, N, [F0] + _degree_maps(rng, d, N + 1)[1:])
+    rev, C = revert_absorbed(F, side)
+    f, ident = absorb(F, side), TruncSeries.identity(d, N + 1)
+    assert compose_at(f, rev, N + 1) == ident == compose_at(rev, f, N + 1)
+    S = absorbed(rev, side)
+    assert (C.N, C[0]) == (F.N, F[0])
+    assert C == compose_at(F, rev, F.N)
+    one = TruncSeries.constant(AlgebraElement.unit(d), F.N)
+    assert mul_at(C, S, F.N) == one == mul_at(S, C, F.N)
+
+
+def test_moments_by_recursion_composes_k_below_the_degree_it_computes(
+        monkeypatch):
+    # (K o P)_j is K_j plus the composition over K below degree j: no K_j
+    # is contracted against j identity slots only to give K_j back
+    calls = []
+    real = multiseries._composition_degree
+
+    def counted(f_maps, g_maps, k_min, n, d, first=None):
+        calls.append((len(f_maps), n))
+        return real(f_maps, g_maps, k_min, n, d, first)
+
+    monkeypatch.setattr(multiseries, "_composition_degree", counted)
+    K = random_series(random.Random(9), 2, 4, "ginv")
+    moments_by_recursion(K)
+    assert [n for _, n in calls] == list(range(K.N + 1))
+    assert all(length <= n for length, n in calls)
+
+
 def test_composition_degree_makes_polynomially_many_slot_steps(monkeypatch):
     # at d = 1 with every map nonzero, one contraction per composition
     # makes (n + 1) 2^(n - 2) slot steps at degree n, 576 at n = 8 and
@@ -847,11 +888,12 @@ def _transform_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("op", ["s_transform", "u_transform"])
 def test_s_is_solved_once(monkeypatch, op):
-    # one reversion gives S, and one composition checks its fixed point;
-    # u_transform multiplies that composition, S^{-1}, across the unit
+    # one reversion gives S and the composite F o (I.S) that checks its
+    # fixed point; u_transform multiplies that composite, S^{-1}, across
+    # the unit, and nothing composes F with I.S again
     calls = _transform_calls(monkeypatch, ("revert_absorbed", "compose_at"))
     getattr(transforms, op)(random_series(random.Random(4), 2, 3, "gi"))
-    assert sorted(calls) == ["compose_at", "revert_absorbed"]
+    assert calls == ["revert_absorbed"]
 
 
 def test_u_transform_multiplies_across_the_unit_once(monkeypatch):

@@ -187,9 +187,19 @@ def test_s_prime_defining_property():
 # -- each runtime check fires on a corrupted reversion ---------------------------
 
 def _corrupt_reversions(monkeypatch, corrupt):
+    # the reversion is corrupted and the composite C = F o g that
+    # revert_absorbed solved passes through as it is, as a fault in the
+    # solve step would leave them: S = C^{-1} has one solution, so the check
+    # on the true C fails exactly when the S read off the corrupted
+    # reversion is not the true S.  A fault in g itself corrupts C with S
+    # and passes this check; the reversion identity that test_series_kernel
+    # asserts of revert_absorbed is what catches it
     real = transforms.revert_absorbed
-    monkeypatch.setattr(transforms, "revert_absorbed",
-                        lambda F, side: corrupt(real(F, side)))
+
+    def corrupted(F, side):
+        rev, C = real(F, side)
+        return corrupt(rev), C
+    monkeypatch.setattr(transforms, "revert_absorbed", corrupted)
 
 
 def _degree_two_doubled(h):
@@ -266,7 +276,7 @@ def test_u_transform_fails_exactly_where_an_expression_differs(
     # reversion and require the same verdict and the same series
     f = random_series(random.Random(f"corrupt-{d}"), d, 3, "gi", bound=2)
     F = absorbed(f, 0)
-    rev = corrupt(revert_absorbed(F, 0), k)
+    rev = corrupt(revert_absorbed(F, 0)[0], k)
     s = strip_identity(rev)
     fixed_point = mult_inverse(compose_at(F, absorb(s, 0).truncate(2), 2)) == s
     _corrupt_reversions(monkeypatch, lambda h: corrupt(h, k))
