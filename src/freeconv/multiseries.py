@@ -32,10 +32,11 @@ through F: (I.F).g = I.(F.g) and f.(G.I) = (f.G).I one order lower, and
 (F.I).g and f.(I.G) as an outer product of a column and a row per entry,
 with no sums; I.F or F.I composes as g.(F o g) or (F o g).g and reverts to
 I.S or S.I by solving S.(F o g) = 1 or (F o g).S = 1 for S degree by degree
-(revert_absorbed, which returns F o g too), so its top degree is never a sum
-over compositions and the reversion's products run on S.  The
-degree-by-degree recursions behind the boxed convolutions and the
-moment-cumulant conversions contract F in place of f = I.F in the same way.
+(revert_absorbed, which returns S and F o g, and builds g only through the
+degrees F o g reads), so its top degree is never a sum over compositions
+and the reversion's products run on S.  The degree-by-degree recursions
+behind the boxed convolutions and the moment-cumulant conversions contract
+F in place of f = I.F in the same way.
 Operations that mix two series of different truncation orders are rejected
 at the public level; the ``mul_at``/``compose_at`` variants compute a
 requested output order and raise unless the inputs genuinely determine every
@@ -412,6 +413,18 @@ def absorbed(f, side):
             stripped.setdefault(rest, [0] * (d * d))[at[src]] = line
         maps.append(MultiMap._of(d, n - 1, stripped, f[n].den))
     return TruncSeries(d, f.N - 1, maps)
+
+
+def strip_identity(f):
+    """The series F with f = I.F, read off as F_m = f_{m+1}(1, . , ..., .).
+
+    Only faithful when f actually has the first-argument-absorbing shape;
+    gi_stripped reads F and checks the shape.
+    """
+    if f.N < 1:
+        raise ValueError("cannot strip the identity from an order-0 series")
+    return TruncSeries(f.d, f.N - 1,
+                       [f[m + 1].unit_in_first_slot() for m in range(f.N)])
 
 
 def absorb(F, side):
@@ -792,7 +805,8 @@ def mult_inverse(f):
 def comp_inverse(f):
     """Inverse for composition; needs f in G^dif.
 
-    For f = I.F or F.I (_shape) the reversion is revert_absorbed's.
+    For f = I.F or F.I (_shape) the reversion is absorb(S, side), S from
+    revert_absorbed.
     Otherwise g_1 = f_1^{-1} and g_n = -f_1^{-1}(sum_{k>=2} f_k(g_{m_1}, ...,
     g_{m_k})), -f_1^{-1} contracted into each f_k once, as an integer
     matrix.
@@ -801,7 +815,7 @@ def comp_inverse(f):
         raise ValueError("series is not compositionally invertible")
     side, F = _shape(f)
     if side is not None:
-        return revert_absorbed(F, side)[0]
+        return absorb(revert_absorbed(F, side)[0], side)
     d, N = f.d, f.N
     try:
         g1 = f[1].inverse()
@@ -819,10 +833,12 @@ def comp_inverse(f):
 
 
 def revert_absorbed(F, side):
-    """(comp_inverse of I.F (side 0) or F.I (side 1), C = F o g), given F:
-    g = I.S or S.I solves g.C = I or C.g = I, that is S.C = 1 or C.S = 1.
-    With c = F_0^{-1}, S_0 = c and S_{n-1} = (sum_{a<n} S_{a-1} (x) C_{n-a})
-    (x) (-c) or its mirror; C has order F.N, each C_j composed once."""
+    """(S, C) given F: the reversion of I.F (side 0) or F.I (side 1) is
+    g = I.S or S.I, absorb(S, side), and C = F o g.  g solves g.C = I or
+    C.g = I, that is S.C = 1 or C.S = 1.  With c = F_0^{-1}, S_0 = c and
+    S_{n-1} = (sum_{a<n} S_{a-1} (x) C_{n-a}) (x) (-c) or its mirror; S and
+    C have order F.N, each C_j composed once, and g is built only through
+    degree F.N, the degrees C reads."""
     d, N = F.d, F.N + 1
     try:
         c = F[0].inverse()
@@ -830,16 +846,15 @@ def revert_absorbed(F, side):
         raise ValueError("series is not compositionally invertible") from None
     neg = c.scale(-1)
     S = [c]
-    g = [MultiMap.zero(d, 0), _times_x(c, side)]
+    g = [MultiMap.zero(d, 0)]
     C = [F[0]]
     for n in range(2, N + 1):
+        g.append(_times_x(S[n - 2], side))
         C.append(_composition_degree(F.maps, g, 1, n - 1, d))
         sc = tensor_product_sum((_ordered(S[a - 1], C[n - a], side)
                                  for a in range(1, n)), d, n - 1)
         S.append(tensor_product_sum([_ordered(sc, neg, side)], d, n - 1))
-        g.append(_times_x(S[n - 1], side))
-    return (_absorbing(TruncSeries(d, N - 1, S), side, g),
-            TruncSeries(d, N - 1, C))
+    return TruncSeries(d, N - 1, S), TruncSeries(d, N - 1, C)
 
 
 # -- tree-indexed evaluation ------------------------------------------------------
@@ -1074,12 +1089,12 @@ def red_and_redred(f, g, red_order, redred_order):
     When f = I.F (absorbed(f, 0)), red = I.R with R = F o Q and red_n =
     x R_{n-1}, and red records R as absorb does (for red_order >= 1).
     strip_identity(g) is G when g = I.G, and is read off g's unit slots
-    otherwise."""
+    through degree redred_order otherwise."""
     d = f.d
     x = MultiMap.identity(d).table
     F, G = absorbed(f, 0), absorbed(g, 0)
-    strip = G.maps if G is not None else [None] + [
-        g[m + 1].unit_in_first_slot() for m in range(1, redred_order + 1)]
+    strip = (G if G is not None  # redred_order is -1 for red at order 1
+             else strip_identity(g.truncate(max(redred_order, 0) + 1))).maps
     red = [MultiMap.zero(d, 0), f[1]]
     redred = [MultiMap.constant(g[1](AlgebraElement.unit(d)))]
     R = None if F is None else [F[0]]

@@ -9,15 +9,15 @@ composition identities box = g o red and redred = strip_identity(g) o red,
 which walk no tree.  The S-transform of f = I.F is the series S with
 f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
 F.I instead.  Each transform reads f's shape once, as F, and reverts I.F
-or F.I from F; absorbed reads S or S' off the reversion's record, which
-must factor as I.S or S'.I.  S is checked against S = C^{-1} on the
-composite C = F o (I.S) that revert_absorbed returns: a check of the solve
-step only, as C and S both come from the reversion's g, so that g reverts
-f and C = F o g are left to the tests.  U's three expressions S^{-1}.I.S,
-C.I.S and (F.I) o f^{o-1} agree exactly when S = C^{-1} and the reversion
-has the shape I.S, since X -> X.I.S (S_0 invertible) and X -> (F.I) o X
-(zero-constant X) are injective; so U takes the same two checks and is one
-product, C times the reversion, across the unit.
+or F.I from F: revert_absorbed returns S or S' itself, with no reversion
+to read it off, beside the composite C = F o (I.S) it solved against.  S
+is checked against S = C^{-1} on that C: a check of the solve step only,
+as C and S both come from the reversion's g, so that g reverts f and
+C = F o g are left to the tests, as is S' whole.  U's three expressions
+S^{-1}.I.S, C.I.S and (F.I) o f^{o-1} agree exactly when S = C^{-1} and
+f^{o-1} = I.S, since X -> X.I.S (S_0 invertible) and X -> (F.I) o X
+(zero-constant X) are injective; I.S is absorb(S, 0), so U takes the one
+check and is one product, C times absorb(S, 0), across the unit.
 """
 
 import random
@@ -26,7 +26,8 @@ from .algebra import AlgebraElement
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
                           absorbed, compose_at, gi_stripped,
                           is_gdif, is_gi, is_ginv, mul_at, mult_inverse,
-                          random_series, red_and_redred, revert_absorbed)
+                          random_series, red_and_redred, revert_absorbed,
+                          strip_identity)
 from .trees import enumerate_trees, rmap
 from .verify import Report
 
@@ -132,18 +133,6 @@ def boxconv_by_trees(variant, f, g):
     return TruncSeries(d, order, out)
 
 
-def strip_identity(f):
-    """The series F with f = I.F, read off as F_m = f_{m+1}(1, . , ..., .).
-
-    Only faithful when f actually has the first-argument-absorbing shape;
-    gi_stripped reads F and checks the shape.
-    """
-    if f.N < 1:
-        raise ValueError("cannot strip the identity from an order-0 series")
-    return TruncSeries(f.d, f.N - 1,
-                       [f[m + 1].unit_in_first_slot() for m in range(f.N)])
-
-
 def _stripped(f, name):
     """F of f = I.F with F in G^inv (gi_stripped), or a ValueError."""
     F = gi_stripped(f)
@@ -162,18 +151,13 @@ def _check_fixed_point(C, s):
 def s_transform(f):
     """S with f^{o-1} = I.S; one order shorter than f.
 
-    Solved once, by reverting f, read off the reversion I.S by absorbed,
-    and checked against S = C^{-1} on the composite C = F o (I.S) the
-    reversion returns, once the reversion is freed.
+    Solved once, by revert_absorbed, which returns S itself beside the
+    composite C = F o (I.S) it solved against, and checked against
+    S = C^{-1} on that C.
     """
-    F = _stripped(f, "S-transform")
-    rev, C = revert_absorbed(F, 0)
-    s = absorbed(rev, 0)
-    del rev
-    if s is None:
-        raise ArithmeticError("the reversion of f does not factor as I.S")
-    _check_fixed_point(C, s)
-    return s
+    S, C = revert_absorbed(_stripped(f, "S-transform"), 0)
+    _check_fixed_point(C, S)
+    return S
 
 
 def u_transform(f):
@@ -186,34 +170,25 @@ def u_transform(f):
     (X - X')_k(...) x S_0), so the first two agree exactly when
     S^{-1} = F o (I.S): S's fixed-point check.  Composing on the left with
     F.I, which is in G^dif, is injective on zero-constant series, so the
-    last two agree exactly when the reversion is I.S: absorbed(rev, 0)
-    reads S and that shape, from the record revert_absorbed writes.  So
-    f's shape is read once, f is reverted once, and one product of the
-    composite C = F o (I.S) it returns with the reversion, which mul_at
-    takes across the unit through the same record, gives U.
+    last two agree exactly when f^{o-1} = I.S, which holds for the S that
+    revert_absorbed solves: absorb builds I.S from S.  So f's shape is
+    read once, f is reverted once, and one product of the composite
+    C = F o (I.S) it returns with absorb(S, 0), which mul_at takes across
+    the unit through the record absorb writes, gives U.
     """
-    F = _stripped(f, "U-transform")
-    rev, C = revert_absorbed(F, 0)
-    s = absorbed(rev, 0)
-    if s is None:
-        raise ArithmeticError("the three U-transform expressions disagree")
-    _check_fixed_point(C, s)
-    return mul_at(C, rev, f.N)
+    S, C = revert_absorbed(_stripped(f, "U-transform"), 0)
+    _check_fixed_point(C, S)
+    return mul_at(C, absorb(S, 0), f.N)
 
 
 def s_prime(f):
     """S' with S'.I = (F.I)^{o-1}, for f = I.F; one order shorter than f.
 
-    f's shape is read once, and F.I is reverted from F.  The reversion
-    absorbs its last argument on the right; S' is read off it by
-    absorbed(h, 1), which also checks that it factors as S'.I, from the
-    record revert_absorbed writes.
+    f's shape is read once, and F.I is reverted from F by revert_absorbed,
+    which returns S' itself.  S' has no run-time check: that S'.I reverts
+    F.I is its defining property, a Tier-1 test.
     """
-    h = revert_absorbed(_stripped(f, "primed transform"), 1)[0]
-    sp = absorbed(h, 1)
-    if sp is None:
-        raise ArithmeticError("the reversion of F.I does not factor as S'.I")
-    return sp
+    return revert_absorbed(_stripped(f, "primed transform"), 1)[0]
 
 
 # -- the identity suite ---------------------------------------------------------

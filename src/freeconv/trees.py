@@ -162,12 +162,20 @@ def _rc(subs):
     return (((), subs[0]), _rc(subs[1:]))
 
 
-@lru_cache(maxsize=None)
+_RMAP_CACHE = {}
+
+
 def rmap(t):
-    """The size-doubling embedding: rmap(()) = (), rmap((s,u)) = (((), rmap(s)), rmap(u))."""
+    """The size-doubling embedding: rmap(()) = (), rmap((s,u)) = (((), rmap(s)), rmap(u)).
+
+    Memoized in a module dict, which costs no recursion level of its own.
+    """
     if t == ():
         return ()
-    return (((), rmap(t[0])), rmap(t[1]))
+    hit = _RMAP_CACHE.get(t)
+    if hit is None:
+        hit = _RMAP_CACHE[t] = (((), rmap(t[0])), rmap(t[1]))
+    return hit
 
 
 BE = "BE"

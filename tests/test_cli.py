@@ -225,6 +225,18 @@ def test_a_900_level_right_comb_maps_through_the_cli():
     assert json.loads(proc.stdout) == [list(range(1, n + 1))]
 
 
+def test_a_900_level_right_comb_doubles_through_the_cli():
+    # in a fresh interpreter, as a user runs it: the tree reader, rmap and
+    # the tree writer each take one recursion level per level of nesting
+    n = 900
+    proc = subprocess.run([sys.executable, "-m", "freeconv", "rmap",
+                           "--input", "(|," * n + "|" + ")" * n],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "((|,|)," * n + "|" + ")" * n + "\n"
+
+
 def test_convolve_and_transform_emit_valid_series(capsys, series_files):
     code, out, _ = run(capsys, "convolve", "--variant", "box",
                        "--f", series_files["ka"], "--g", series_files["kb"])

@@ -21,8 +21,9 @@ to take no dense product at the top degree, and the transforms to read the
 shape of f once.  The composition kernel, one state per consumed degree, is
 checked against one contraction per composition and counted to take
 polynomially many slot steps; mul_at is counted to read the shape of the
-factor its recursion keeps once.  revert_absorbed is checked to return the
-composite F o g it solved, which S inverts on both sides, and
+factor its recursion keeps once.  revert_absorbed is checked to return S
+and the composite F o g it solved, which S inverts on both sides, the
+transforms to build no reversion at the top degree, and
 moments_by_recursion to compose K only below the degree it computes.
 """
 
@@ -451,18 +452,19 @@ def test_composition_degree_matches_the_composition_oracle(shape, k_min,
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("d, N", [(1, 6), (2, 4), (3, 3)])
 def test_revert_absorbed_returns_the_composite_it_solved(d, N, side):
-    # g reverts f = I.F or F.I on both sides, and beside it comes C = F o g,
-    # the series that compose_at builds, which S inverts on both sides.  C
-    # and S both come from g, so only the reversion identity sees a wrong g.
-    # F's degrees carry mixed denominators, some of them zero
+    # g = I.S or S.I reverts f = I.F or F.I on both sides, and beside S
+    # comes C = F o g, the series that compose_at builds, which S inverts on
+    # both sides.  C and S both come from g, so only the reversion identity
+    # sees a wrong g.  F's degrees carry mixed denominators, some of them
+    # zero
     rng = random.Random(f"revert-{d}-{N}-{side}")
     F0 = random_series(rng, d, 0, "ginv")[0].scale(Fraction(2, 3))
     F = TruncSeries(d, N, [F0] + _degree_maps(rng, d, N + 1)[1:])
-    rev, C = revert_absorbed(F, side)
+    S, C = revert_absorbed(F, side)
+    rev = absorb(S, side)
     f, ident = absorb(F, side), TruncSeries.identity(d, N + 1)
     assert compose_at(f, rev, N + 1) == ident == compose_at(rev, f, N + 1)
-    S = absorbed(rev, side)
-    assert (C.N, C[0]) == (F.N, F[0])
+    assert (S.N, C.N, C[0]) == (F.N, F.N, F[0])
     assert C == compose_at(F, rev, F.N)
     one = TruncSeries.constant(AlgebraElement.unit(d), F.N)
     assert mul_at(C, S, F.N) == one == mul_at(S, C, F.N)
@@ -886,14 +888,33 @@ def _transform_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("op", ["s_transform", "u_transform"])
+@pytest.mark.parametrize("op", ["s_transform", "u_transform", "s_prime"])
 def test_s_is_solved_once(monkeypatch, op):
-    # one reversion gives S and the composite F o (I.S) that checks its
-    # fixed point; u_transform multiplies that composite, S^{-1}, across
-    # the unit, and nothing composes F with I.S again
-    calls = _transform_calls(monkeypatch, ("revert_absorbed", "compose_at"))
+    # one reversion gives S (or S') and the composite F o (I.S) that checks
+    # its fixed point; nothing reads S off a reversion, u_transform builds
+    # I.S once to multiply that composite, S^{-1}, across the unit, and
+    # nothing composes F with I.S again
+    calls = _transform_calls(monkeypatch, ("revert_absorbed", "compose_at",
+                                           "absorbed", "absorb"))
     getattr(transforms, op)(random_series(random.Random(4), 2, 3, "gi"))
-    assert calls == ["revert_absorbed"]
+    assert calls == ["revert_absorbed"] + ["absorb"] * (op == "u_transform")
+
+
+@pytest.mark.parametrize("op", ["s_transform", "s_prime"])
+def test_s_and_s_prime_build_no_top_degree_reversion(monkeypatch, op):
+    # C = F o g reads g below degree f.N, and S (or S') is returned as it
+    # is, so no map x S_{N-1} or S'_{N-1} x of degree f.N is moved into place
+    f = random_series(random.Random(4), 2, 4, "gi")
+    degrees = []
+    real = multiseries._times_x
+
+    def counted(m, side):
+        degrees.append(m.n + 1)
+        return real(m, side)
+
+    monkeypatch.setattr(multiseries, "_times_x", counted)
+    getattr(transforms, op)(f)
+    assert degrees and max(degrees) < f.N
 
 
 def test_u_transform_multiplies_across_the_unit_once(monkeypatch):

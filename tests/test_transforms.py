@@ -184,21 +184,20 @@ def test_s_prime_defining_property():
     assert mul_at(sp, ident, N) == comp_inverse(fi)
 
 
-# -- each runtime check fires on a corrupted reversion ---------------------------
+# -- the runtime check fires on a corrupted S ------------------------------------
 
 def _corrupt_reversions(monkeypatch, corrupt):
-    # the reversion is corrupted and the composite C = F o g that
-    # revert_absorbed solved passes through as it is, as a fault in the
-    # solve step would leave them: S = C^{-1} has one solution, so the check
-    # on the true C fails exactly when the S read off the corrupted
-    # reversion is not the true S.  A fault in g itself corrupts C with S
-    # and passes this check; the reversion identity that test_series_kernel
-    # asserts of revert_absorbed is what catches it
+    # S is corrupted and the composite C = F o g that revert_absorbed solved
+    # passes through as it is, as a fault in the solve step would leave them:
+    # S = C^{-1} has one solution, so the check on the true C fails exactly
+    # when the corrupted S is not the true S.  A fault in g itself corrupts
+    # C with S and passes this check; the reversion identity that
+    # test_series_kernel asserts of revert_absorbed is what catches it
     real = transforms.revert_absorbed
 
     def corrupted(F, side):
-        rev, C = real(F, side)
-        return corrupt(rev), C
+        S, C = real(F, side)
+        return corrupt(S), C
     monkeypatch.setattr(transforms, "revert_absorbed", corrupted)
 
 
@@ -208,30 +207,13 @@ def _degree_two_doubled(h):
                                   for m in h.maps])
 
 
-def _commutator_added(h):
-    # x y - y x vanishes when either argument is the unit, so the slot read
-    # off h is unchanged while h loses its I.S (or S'.I) shape
-    comm = MultiMap.from_function(h.d, 2, lambda x, y: x * y - y * x)
-    return h + TruncSeries(h.d, h.N, [comm if n == 2 else MultiMap.zero(h.d, n)
-                                      for n in range(h.N + 1)])
-
-
 @pytest.mark.parametrize("op", [s_transform, u_transform])
 def test_s_fixed_point_check_fires(monkeypatch, op):
-    # the corrupted reversion keeps the I.S shape, but the S read off it
-    # fails S = (F o (I.S))^{-1} from degree 1 on
+    # the corrupted S fails S = (F o (I.S))^{-1} from degree 2 on
     f = random_series(random.Random(18), D, N, "gi")
     _corrupt_reversions(monkeypatch, _degree_two_doubled)
     with pytest.raises(ArithmeticError, match="fixed-point"):
         op(f)
-
-
-def test_u_transform_expressions_check_fires(monkeypatch):
-    # S is read off correctly, so only (F.I) o f^{o-1} is off
-    f = random_series(random.Random(19), D, N, "gi")
-    _corrupt_reversions(monkeypatch, _commutator_added)
-    with pytest.raises(ArithmeticError, match="three U-transform"):
-        u_transform(f)
 
 
 def _degree_k(h, k, m):
@@ -256,7 +238,8 @@ def _entry_dropped(h, k):
 
 def _commutator(h, k):
     assert k == 2
-    return _commutator_added(h)
+    comm = MultiMap.from_function(h.d, 2, lambda x, y: x * y - y * x)
+    return _degree_k(h, k, h[k] + comm)
 
 
 _CORRUPTIONS = ([(_doubled, k) for k in range(4)]
@@ -271,50 +254,21 @@ _CORRUPTIONS = ([(_doubled, k) for k in range(4)]
 @pytest.mark.parametrize("d", [2, 3])
 def test_u_transform_fails_exactly_where_an_expression_differs(
         monkeypatch, d, corrupt, k):
-    # the fixed-point check and the reversion's shape stand in for the
-    # three-way comparison; rebuild that comparison on the corrupted
-    # reversion and require the same verdict and the same series
-    f = random_series(random.Random(f"corrupt-{d}"), d, 3, "gi", bound=2)
+    # the fixed-point check stands in for the three-way comparison; rebuild
+    # that comparison on I.S for the corrupted S, at each of its degrees
+    # 0..3, and require the same verdict and the same series
+    f = random_series(random.Random(f"corrupt-{d}"), d, 4, "gi", bound=2)
     F = absorbed(f, 0)
-    rev = corrupt(revert_absorbed(F, 0)[0], k)
-    s = strip_identity(rev)
-    fixed_point = mult_inverse(compose_at(F, absorb(s, 0).truncate(2), 2)) == s
+    s = corrupt(revert_absorbed(F, 0)[0], k)
+    fixed_point = mult_inverse(compose_at(F, absorb(s, 0).truncate(3), 3)) == s
     _corrupt_reversions(monkeypatch, lambda h: corrupt(h, k))
     if not fixed_point:
-        # a reversion that has lost the I.S shape as well fails that first
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="fixed-point"):
             u_transform(f)
         return
-    if not rev[0].is_zero():
-        # (F.I) o rev is undefined; this now fails the I.S shape read
-        with pytest.raises(ValueError, match="zero constant term"):
-            _u_three_ways(f, rev)
-        with pytest.raises(ArithmeticError, match="three U-transform"):
-            u_transform(f)
-        return
-    u1, u2, u3 = _u_three_ways(f, rev)
-    if u1 == u2 == u3:
-        assert u_transform(f) == u1
-    else:
-        with pytest.raises(ArithmeticError, match="three U-transform"):
-            u_transform(f)
-
-
-def test_s_transform_shape_check_fires(monkeypatch):
-    # the unit slots that strip_identity would read stay intact, but S is read
-    # with absorbed, which sees that the reversion lost its I.S shape
-    f = random_series(random.Random(20), D, N, "gi")
-    _corrupt_reversions(monkeypatch, _commutator_added)
-    with pytest.raises(ArithmeticError, match=r"factor as I\.S"):
-        s_transform(f)
-
-
-def test_s_prime_shape_check_fires(monkeypatch):
-    # a doubled degree keeps the S'.I shape and would pass; this breaks it
-    f = random_series(random.Random(20), D, N, "gi")
-    _corrupt_reversions(monkeypatch, _commutator_added)
-    with pytest.raises(ArithmeticError, match=r"S'\.I"):
-        s_prime(f)
+    # S solves its fixed point, so the three expressions agree
+    u1, u2, u3 = _u_three_ways(f, absorb(s, 0))
+    assert u1 == u2 == u3 == u_transform(f)
 
 
 def test_strip_identity_round_trip():

@@ -156,6 +156,20 @@ def test_parity_trees_agree_with_classify():
         assert tuple(be or bo) == want
 
 
+def test_rmap_maps_a_900_level_right_comb():
+    # the memo costs no recursion level of its own, so a right comb nested
+    # 900 deep doubles whole, into a right comb of single vertices
+    n = 900
+    t = LEAF
+    for _ in range(n):
+        t = (LEAF, t)
+    out = rmap(t)
+    for _ in range(n):
+        assert out[0] == SINGLE
+        out = out[1]
+    assert out == LEAF
+
+
 def test_rmap_lands_in_the_even_class():
     for n in range(5):
         for t in enumerate_trees(n):
