@@ -47,7 +47,8 @@ class CumulantSpec:
     x1 * (rest) with an invertible first coefficient; the latter is the
     standing invertibility assumption behind the S-transform.  The
     constructor reads F of series = I.F once (gi_stripped: the record of a
-    series that absorb built, or one pass) and keeps it as ``stripped``.
+    series that absorb built, or one read of its tables) and keeps it as
+    ``stripped``.
     """
 
     __slots__ = ("series", "stripped")

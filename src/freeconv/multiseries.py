@@ -25,8 +25,11 @@ through _to_element (evaluation's value and the ``tensor`` view).
 MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
 tests and both series inverses.  absorbed(f, side) reads F of an outer
 series f = I.F or F.I, and absorb(F, side) builds I.F or F.I back by moving
-entries and records F in it, so absorbed reads a series the library built
-without a pass; outside input (from_json, hand-built maps, sums) pays one.
+entries and records F in it, so absorbed and strip_identity read a series
+the library built without touching its tables.  Outside input (from_json,
+hand-built maps, sums) is read by the definition: F_{n-1} is f_n with the
+unit in the absorbed slot (MultiMap.unit_in_slot), and absorbed accepts it
+when x.F_{n-1} or F_{n-1}.x is f_n again.
 mul_at, compose_at and comp_inverse read either shape (_shape) and go
 through F: (I.F).g = I.(F.g) and f.(G.I) = (f.G).I one order lower, and
 (F.I).g and f.(I.G) as an outer product of a column and a row per entry,
@@ -186,18 +189,21 @@ class MultiMap:
         return MultiMap._of(d, n, *_to_ints(
             {key: [den * x for x in coords] for key, coords in values.items()}))
 
-    def unit_in_first_slot(self):
-        """The degree-(n-1) map (x_2..x_n) -> f(1, x_2..x_n)."""
+    def unit_in_slot(self, side):
+        """The degree-(n-1) map (x_2..x_n) -> f(1, x_2..x_n) (side 0) or
+        (x_1..x_{n-1}) -> f(x_1..x_{n-1}, 1) (side 1)."""
         # the unit is the sum of the E_pp: one table per p, then one merge
         if self.n == 0:
             raise ValueError("degree-0 map has no slot")
         d = self.d
-        diagonal = [{} for _ in range(d)]
+        slot = self.n - 1 if side else 0
+        diagonal = {p * d + p: {} for p in range(d)}
         for key, vec in self.table.items():
-            p, q = divmod(key[0], d)
-            if p == q:
-                diagonal[p][key[1:]] = vec
-        return _merge(((table, self.den) for table in diagonal), d, self.n - 1)
+            table = diagonal.get(key[slot])
+            if table is not None:
+                table[key[:slot] + key[slot + 1:]] = vec
+        return _merge(((table, self.den) for table in diagonal.values()),
+                      d, self.n - 1)
 
 
 def _to_ints(values):
@@ -377,54 +383,37 @@ def absorbed(f, side):
     """F with f = I.F (side 0) or f = F.I (side 1), or None for neither:
     f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ...) or F_{n-1}(..., x_{n-1}) x_n.
 
-    A series that absorb built on this side returns the F it recorded.  For
-    any other series, E_pq A is row q of A moved to row p, and A E_pq is
-    column p moved to column q.  So f has the shape exactly when, for each
-    source line (row q or column p) and the other arguments `rest`, the d
-    entries with a matrix unit of that source in the absorbing slot are all
-    present or all absent, each zero off its target line and all carrying
-    one line: that line of F_{n-1}(rest).  One pass over each table tests
-    this and reads F off; F's entries are f's, so f's denominator is F's
-    least one.
+    A series that absorb built on this side returns the F it recorded.  Any
+    other series is read by the definition, degree by degree: F_{n-1} is
+    f_n with the unit in the absorbed slot (unit_in_slot), and f has the
+    shape exactly when x.F_{n-1} or F_{n-1}.x is f_n again, so the read
+    stops at the first degree that differs.
     """
     if f._absorbs[0] == side:
         return f._absorbs[1]
     if not f[0].is_zero() or f.N < 1:
         return None
-    d = f.d
-    at = _lines(d, side)
     maps = []
-    for n in range(1, f.N + 1):
-        table, lines, stripped = f[n].table, {}, {}
-        for key, vec in table.items():
-            if side:
-                src, dst = divmod(key[-1], d)
-                group = (src, key[:-1])
-            else:
-                dst, src = divmod(key[0], d)
-                group = (src, key[1:])
-            line = vec[at[dst]]
-            if (len(vec) - vec.count(0) != len(line) - line.count(0)
-                    or lines.setdefault(group, line) != line):
-                return None
-        if len(table) != d * len(lines):
+    for m in f.maps[1:]:
+        F = m.unit_in_slot(side)
+        if _times_x(F, side) != m:
             return None
-        for (src, rest), line in lines.items():
-            stripped.setdefault(rest, [0] * (d * d))[at[src]] = line
-        maps.append(MultiMap._of(d, n - 1, stripped, f[n].den))
-    return TruncSeries(d, f.N - 1, maps)
+        maps.append(F)
+    return TruncSeries(f.d, f.N - 1, maps)
 
 
 def strip_identity(f):
-    """The series F with f = I.F, read off as F_m = f_{m+1}(1, . , ..., .).
+    """The series F_m = f_{m+1}(1, . , ..., .): the F that absorb recorded
+    when it built f = I.F, else f's unit slots (unit_in_slot(0)).
 
     Only faithful when f actually has the first-argument-absorbing shape;
     gi_stripped reads F and checks the shape.
     """
+    if f._absorbs[0] == 0:
+        return f._absorbs[1]
     if f.N < 1:
         raise ValueError("cannot strip the identity from an order-0 series")
-    return TruncSeries(f.d, f.N - 1,
-                       [f[m + 1].unit_in_first_slot() for m in range(f.N)])
+    return TruncSeries(f.d, f.N - 1, [m.unit_in_slot(0) for m in f.maps[1:]])
 
 
 def absorb(F, side):
@@ -447,14 +436,6 @@ def absorb_at(F, side, order):
     """absorb(F, side) through order <= F.N + 1, from F below degree order."""
     return (absorb(F.truncate(order - 1), side) if order
             else TruncSeries.zero(F.d, 0))
-
-
-def _lines(d, side):
-    """The slices of the rows (side 0) or the columns (side 1) of a d x d
-    coordinate vector: the lines that a matrix unit in an absorbing slot
-    moves."""
-    return [slice(i, None, d) if side else slice(i * d, i * d + d)
-            for i in range(d)]
 
 
 def gi_stripped(f):
@@ -917,7 +898,9 @@ def _times_units(table, d, side):
     E_rs T(..) moves row s of T(..) to row r, and T(..) E_rs moves column r
     to column s; each zeroes the rest.
     """
-    at = _lines(d, side)
+    # the rows (side 0) or the columns (side 1) of a coordinate vector
+    at = [slice(i, None, d) if side else slice(i * d, i * d + d)
+          for i in range(d)]
     out = {}
     for key, vec in table.items():
         for src in range(d):
@@ -1088,13 +1071,10 @@ def red_and_redred(f, g, red_order, redred_order):
 
     When f = I.F (absorbed(f, 0)), red = I.R with R = F o Q and red_n =
     x R_{n-1}, and red records R as absorb does (for red_order >= 1).
-    strip_identity(g) is G when g = I.G, and is read off g's unit slots
-    through degree redred_order otherwise."""
+    redred reads g through strip_identity(g)."""
     d = f.d
     x = MultiMap.identity(d).table
-    F, G = absorbed(f, 0), absorbed(g, 0)
-    strip = (G if G is not None  # redred_order is -1 for red at order 1
-             else strip_identity(g.truncate(max(redred_order, 0) + 1))).maps
+    F, strip = absorbed(f, 0), strip_identity(g).maps
     red = [MultiMap.zero(d, 0), f[1]]
     redred = [MultiMap.constant(g[1](AlgebraElement.unit(d)))]
     R = None if F is None else [F[0]]

@@ -7,8 +7,8 @@ is the unique partition of the empty set.
 Operations: concatenation P * Q (shift Q past P), right merge (concatenate,
 then join the block of |P| with the block of |P|+|Q|), left merge
 (concatenate, then join the block of 1 with the block of |P|+1), the
-odd/even interleaving P u Q, and the Kreweras complement computed by brute
-force as the coarsest Q whose interleave with P stays noncrossing.
+odd/even interleaving P u Q, and the Kreweras complement, the coarsest Q
+whose interleave with P stays noncrossing, computed as a permutation.
 """
 
 from functools import lru_cache
@@ -154,30 +154,44 @@ def one_partition(n):
     return ((tuple(range(1, n + 1)),) if n else ())
 
 
-@lru_cache(maxsize=None)
+def _cycle_inverse(p):
+    """{i: the element before i in its block, cyclically}: the inverse of
+    the permutation that reads each block of p as an increasing cycle."""
+    if not is_partition(p):
+        raise ValueError("blocks must partition {1..n}")
+    if not is_noncrossing(p):
+        raise ValueError("input partition is crossing")
+    return {b[j]: b[j - 1] for b in map(sorted, p) for j in range(len(b))}
+
+
+def _cycles(perm):
+    """The partition whose blocks are the cycles of the permutation perm."""
+    blocks, seen = [], set()
+    for start in perm:
+        if start not in seen:
+            block, i = [], start
+            while i not in seen:
+                seen.add(i)
+                block.append(i)
+                i = perm[i]
+            blocks.append(block)
+    return canonical(blocks)
+
+
 def kreweras(p):
     """Kreweras complement: the coarsest q with interleave(p, q) noncrossing.
 
-    Brute force over all noncrossing candidates; every candidate refines the
-    complement, so the (unique) candidate with the fewest blocks is it.
+    With each block read as an increasing cycle and gamma = (1 2 ... n),
+    the complement is the permutation p^{-1} gamma, any size.
     """
-    if not is_noncrossing(p):
-        raise ValueError("input partition is crossing")
-    n = partition_size(p)
-    candidates = [q for q in enumerate_ncp(n) if is_noncrossing(interleave(p, q))]
-    best = min(candidates, key=len)
-    assert sum(1 for q in candidates if len(q) == len(best)) == 1
-    assert all(is_refinement(q, best) for q in candidates)
-    return best
+    back, n = _cycle_inverse(p), partition_size(p)
+    return _cycles({i: back[i % n + 1] for i in back})
 
 
-@lru_cache(maxsize=None)
-def kreweras_inverse_table(n):
-    return {kreweras(p): p for p in enumerate_ncp(n)}
-
-
-def kreweras_inverse(p):
-    return kreweras_inverse_table(partition_size(p))[p]
+def kreweras_inverse(q):
+    """The p with kreweras(p) == q: the permutation gamma q^{-1}."""
+    back, n = _cycle_inverse(q), partition_size(q)
+    return _cycles({i: back[i] % n + 1 for i in back})
 
 
 # -- serialization and display ------------------------------------------------

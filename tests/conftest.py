@@ -7,19 +7,26 @@ from freeconv import multiseries, transforms
 
 @pytest.fixture()
 def shape_passes(monkeypatch):
-    """The orders of the series that absorbed reads by a pass over their
-    tables, one entry per pass: a call on a series that absorb did not
-    build on the side asked, with a zero constant term and order >= 1 (the
-    shape is ruled out before any table is read otherwise).  absorbed is
-    wrapped where it is defined and in transforms, which imports it."""
+    """The orders of the series whose tables are read to learn F, one entry
+    per read: an absorbed call on a series that absorb did not build on the
+    side asked, with a zero constant term and order >= 1 (the shape is
+    ruled out before any table is read otherwise), and a strip_identity
+    call on a series that absorb did not build on side 0.  Both are wrapped
+    where they are defined and in transforms, which imports them."""
     passes = []
-    real = multiseries.absorbed
+    real_absorbed, real_strip = multiseries.absorbed, multiseries.strip_identity
 
-    def counted(f, side):
+    def absorbed(f, side):
         if f._absorbs[0] != side and f[0].is_zero() and f.N >= 1:
             passes.append(f.N)
-        return real(f, side)
+        return real_absorbed(f, side)
 
-    monkeypatch.setattr(multiseries, "absorbed", counted)
-    monkeypatch.setattr(transforms, "absorbed", counted)
+    def strip_identity(f):
+        if f._absorbs[0] != 0:
+            passes.append(f.N)
+        return real_strip(f)
+
+    for module in (multiseries, transforms):
+        monkeypatch.setattr(module, "absorbed", absorbed)
+        monkeypatch.setattr(module, "strip_identity", strip_identity)
     return passes

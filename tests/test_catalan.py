@@ -1,5 +1,7 @@
 """Catalan families, the canonical isomorphisms, and the named bijections."""
 
+import random
+
 import pytest
 
 from freeconv.catalan import (FAMILIES, NAMED_BIJECTIONS, catalan_compose,
@@ -141,6 +143,27 @@ def test_kreweras_iso_equals_brute_force():
     for n in range(6):
         for p in family_elements("ncp1", n):
             assert catalan_iso("ncp2", "ncp1", p) == kreweras(p)
+
+
+def _random_tree(rng, n):
+    """A binary tree with n vertices, its split sizes drawn at random."""
+    if n == 0:
+        return ()
+    k = rng.randrange(n)
+    return (_random_tree(rng, k), _random_tree(rng, n - 1 - k))
+
+
+def test_kreweras_families_map_trees_past_ten_vertices():
+    # ncp7, ncp8 and bernardi complement partitions of every size
+    rng = random.Random(13)
+    for _ in range(40):
+        t = _random_tree(rng, rng.randint(11, 15))
+        assert (kreweras(catalan_iso("y", "ncp2", t))
+                == catalan_iso("y", "ncp1", t))
+        for fam in ("ncp7", "ncp8"):
+            assert catalan_iso(fam, "y", catalan_iso("y", fam, t)) == t
+        p = catalan_iso("y", "ncp7", t)
+        assert catalan_iso("pt1", "ncp7", named_bijection("bernardi", p)) == p
 
 
 def test_named_bijection_checks_membership():

@@ -96,6 +96,23 @@ def test_kreweras_golden(capsys):
     assert json.loads(out) == [[1], [2, 8], [3, 4, 5], [6, 7]]
 
 
+def test_kreweras_has_no_size_limit(capsys):
+    code, out, _ = run(capsys, "kreweras",
+                       "--input", json.dumps([list(range(1, 12))]))
+    assert code == 0
+    assert json.loads(out) == [[i] for i in range(1, 12)]
+
+
+def test_map_to_ncp7_round_trips_past_ten_vertices(capsys):
+    comb = "(" * 12 + "|" + ",|)" * 12  # the 12-vertex left comb
+    code, out, _ = run(capsys, "map", "--from", "y", "--to", "ncp7",
+                       "--input", comb)
+    assert code == 0
+    code, back, _ = run(capsys, "map", "--from", "ncp7", "--to", "y",
+                        "--input", out.strip())
+    assert code == 0 and json.loads(back) == comb
+
+
 def test_kreweras_rejects_crossing(capsys):
     code, _, err = run(capsys, "kreweras", "--input", "[[1,3],[2,4]]")
     assert code == 3 and "noncrossing" in err

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from freeconv.algebra import (AlgebraElement, NotInvertibleError, mat_inverse,
                               random_element_from)
 from freeconv.multiseries import (MultiMap, TreeTensors, TruncSeries,
-                                  alt_tree_eval, apply_to_word, comp_inverse,
-                                  compose_at, first_difference, is_gdif, is_gi,
-                                  is_ginv, mul_at, mult_inverse, operad_eval,
+                                  absorb, absorbed, alt_tree_eval,
+                                  apply_to_word, comp_inverse, compose_at,
+                                  first_difference, is_gdif, is_gi, is_ginv,
+                                  mul_at, mult_inverse, operad_eval,
                                   operad_evaluator, random_multimap,
                                   random_series, tree_eval, word_action,
                                   word_of_tree)
@@ -70,9 +71,11 @@ def test_unit_slots_evaluate_at_the_unit():
     m = MultiMap.from_function(D, 3, lambda x, y, z: x * _x(4) * y + z * x)
     one = AlgebraElement.unit(D)
     a, b = _x(5), _x(6)
-    assert m.unit_in_first_slot()(a, b) == m(one, a, b)
-    with pytest.raises(ValueError):
-        MultiMap.zero(D, 0).unit_in_first_slot()
+    assert m.unit_in_slot(0)(a, b) == m(one, a, b)
+    assert m.unit_in_slot(1)(a, b) == m(a, b, one)
+    for side in (0, 1):
+        with pytest.raises(ValueError):
+            MultiMap.zero(D, 0).unit_in_slot(side)
 
 
 def test_transpose_map():
@@ -143,24 +146,45 @@ def test_random_series_land_in_their_classes():
     assert f[0].is_zero()
 
 
-def _is_gi_by_definition(f):
-    """G^I straight from the definition: f_0 = 0, f_1(1) invertible, and
-    f_n(x_1, ...) == x_1 f_n(1, ...) at every basis tuple, by matrix products."""
+def _absorbed_by_definition(f, side):
+    """F with f = I.F (side 0) or f = F.I (side 1), or None, straight from
+    the definition: f_0 = 0 and, at every basis tuple, f_n(E_k, rest) ==
+    E_k f_n(1, rest) or f_n(rest, E_k) == f_n(rest, 1) E_k, where the unit
+    slot sums f_n's entries at the diagonal units E_pp, all in Fraction
+    arithmetic; then F_{n-1}(rest) = f_n(1, rest) or f_n(rest, 1)."""
     if not f[0].is_zero() or f.N < 1:
+        return None
+    d, zero = f.d, AlgebraElement.zero(f.d)
+
+    def placed(k, rest):
+        return rest + (k,) if side else (k,) + rest
+
+    maps = []
+    for n in range(1, f.N + 1):
+        entries = f[n].tensor
+        F = {rest: sum((entries.get(placed(p * d + p, rest), zero)
+                        for p in range(d)), zero)
+             for rest in product(range(d * d), repeat=n - 1)}
+        for key in product(range(d * d), repeat=n):
+            k, rest = (key[-1], key[:-1]) if side else (key[0], key[1:])
+            unit = AlgebraElement.basis(d, k)
+            if entries.get(key, zero) != (F[rest] * unit if side
+                                          else unit * F[rest]):
+                return None
+        maps.append(MultiMap(d, n - 1, F))
+    return TruncSeries(d, f.N - 1, maps)
+
+
+def _is_gi_by_definition(f):
+    """G^I straight from the definition: f = I.F by _absorbed_by_definition
+    and F_0 = f_1(1) invertible."""
+    F = _absorbed_by_definition(f, 0)
+    if F is None:
         return False
-    d = f.d
     try:
-        mat_inverse(f[1].unit_in_first_slot().tensor.get((), AlgebraElement.zero(d)))
+        mat_inverse(F[0].tensor.get((), AlgebraElement.zero(f.d)))
     except NotInvertibleError:
         return False
-    for n in range(1, f.N + 1):
-        stripped = f[n].unit_in_first_slot()
-        for key in product(range(d * d), repeat=n):
-            lhs = f[n].tensor.get(key, AlgebraElement.zero(d))
-            rhs = AlgebraElement.basis(d, key[0]) * stripped(
-                *(AlgebraElement.basis(d, i) for i in key[1:]))
-            if lhs != rhs:
-                return False
     return True
 
 
@@ -212,6 +236,28 @@ def test_is_gi_agrees_with_the_definition(kind, shape, seed, change):
     assert is_gi(f) == _is_gi_by_definition(f)
 
 
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["I.F", "F.I", "ginv", "gdif", "mult"]),
+       shape=st.sampled_from(_GI_SHAPES), side=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2 ** 16),
+       change=st.sampled_from([None, "drop", "replace", "add"]))
+def test_absorbed_agrees_with_the_definition_on_record_free_series(
+        kind, shape, side, seed, change):
+    # a series absorb did not build is read off its tables on either side,
+    # whether it has the shape, lost it to one entry or never had it
+    d, order = shape
+    rng = random.Random(seed)
+    if kind in ("I.F", "F.I"):
+        F = random_series(rng, d, order - 1, rng.choice(["ginv", "mult"]))
+        f = absorb(F, kind == "F.I")
+    else:
+        f = random_series(rng, d, order, kind)
+    f = TruncSeries(d, order, f.maps)  # without absorb's record
+    if change is not None:
+        f = _perturbed(f, change, rng)
+    assert absorbed(f, side) == _absorbed_by_definition(f, side)
+
+
 def _gi_pair():
     """A d=2 gi series and a (q, rest) group of its degree-2 entries."""
     f = random_series(random.Random(40), 2, 3, "gi")
@@ -252,7 +298,7 @@ def test_is_gi_rejects_a_singular_linear_term_of_the_right_shape():
     h = random_series(rng, 2, 2, "mult")
     h = TruncSeries(2, 2, [MultiMap.constant(singular)] + list(h.maps[1:]))
     f = mul_at(TruncSeries.identity(2, 3), h, 3)
-    assert f[1].unit_in_first_slot()() == singular
+    assert f[1].unit_in_slot(0)() == singular
     assert not is_gi(f) and not _is_gi_by_definition(f)
 
 

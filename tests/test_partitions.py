@@ -45,6 +45,13 @@ def test_kreweras_rejects_crossing_input():
         kreweras(((1, 3), (2, 4)))
 
 
+@pytest.mark.parametrize("p", [((1,), (3,)), ((1, 2), (2, 3)), ((0, 1),)])
+def test_kreweras_rejects_blocks_that_do_not_partition_1_to_n(p):
+    for complement in (kreweras, kreweras_inverse):
+        with pytest.raises(ValueError, match="partition"):
+            complement(p)
+
+
 def test_kreweras_worked_example_on_eight_elements():
     p = ((1, 2), (3, 6, 8), (4,), (5,), (7,))
     assert kreweras(p) == ((1,), (2, 8), (3, 4, 5), (6, 7))
@@ -57,6 +64,40 @@ def test_kreweras_squared_is_a_bijection_but_not_identity():
         assert sorted(double) == sorted(level)
     # the double complement rotates labels, so it moves some partition
     assert any(kreweras(kreweras(p)) != p for p in enumerate_ncp(3))
+
+
+def _kreweras_by_brute_force(p):
+    """The coarsest noncrossing q with interleave(p, q) noncrossing, found
+    over all of NC(n): every candidate refines the complement, so the one
+    candidate with the fewest blocks is it."""
+    candidates = [q for q in enumerate_ncp(partition_size(p))
+                  if is_noncrossing(interleave(p, q))]
+    best = min(candidates, key=len)
+    assert sum(1 for q in candidates if len(q) == len(best)) == 1
+    assert all(is_refinement(q, best) for q in candidates)
+    return best
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_kreweras_matches_the_brute_force_oracle(n):
+    for p in enumerate_ncp(n):
+        q = _kreweras_by_brute_force(p)
+        assert kreweras(p) == q and kreweras_inverse(q) == p
+
+
+def test_kreweras_has_no_size_limit():
+    # past enumerate_ncp's sizes: the complement of p.q is K(p) and K(q)
+    # joined at the seam, and K(K(P)) rotates P back by one
+    p = ((1, 2), (3, 6, 8), (4,), (5,), (7,))
+    q = ((1, 4), (2, 3), (5,))
+    for n in (11, 12, 40):
+        assert kreweras(zero_partition(n)) == one_partition(n)
+        assert kreweras(one_partition(n)) == zero_partition(n)
+    joined = merge_op("concat", p, q)
+    assert kreweras(joined) == merge_op("right", kreweras(p), kreweras(q))
+    assert kreweras_inverse(kreweras(joined)) == joined
+    rotated = canonical([[(x - 2) % 13 + 1 for x in b] for b in joined])
+    assert kreweras(kreweras(joined)) == rotated
 
 
 def test_kreweras_inverse_round_trip():

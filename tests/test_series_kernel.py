@@ -607,7 +607,7 @@ def test_absorb_is_the_product_with_the_identity(kind, d, order):
 def test_absorbed_reads_the_record_as_a_pass_reads_the_tables(kind, shape,
                                                               side, seed):
     # the record that absorb writes answers absorbed on its own side, and on
-    # either side it says what a pass over the same maps says
+    # either side it says what a read of the same maps says
     d, order = shape
     F = (TruncSeries.zero(d, order) if kind == "zero"
          else random_series(random.Random(seed), d, order, kind))
@@ -618,6 +618,18 @@ def test_absorbed_reads_the_record_as_a_pass_reads_the_tables(kind, shape,
         assert absorbed(f, s) == absorbed(unrecorded, s)
     if d == 1:
         assert absorbed(unrecorded, 1 - side) == F
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_strip_identity_reads_the_record_of_I_F_only(d):
+    # absorb's record answers strip_identity for I.F; F.I is read off its
+    # unit slots, as any series absorb did not build on side 0
+    F = random_series(random.Random(f"strip-{d}"), d, 2, "ginv")
+    for side in (0, 1):
+        f = absorb(F, side)
+        slots = TruncSeries(d, 2, [_unit_in_slot(m, 0) for m in f.maps[1:]])
+        assert strip_identity(f) == slots
+        assert (strip_identity(f) is F) == (side == 0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -694,10 +706,10 @@ def test_mul_at_reads_the_shape_of_the_kept_factor_once(shape_passes):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["ginv", "gdif", "gi", "mult"]),
-       shape=st.sampled_from(_SHAPES),
+       shape=st.sampled_from(_SHAPES), side=st.sampled_from([0, 1]),
        seed=st.integers(0, 2 ** 16))
 def test_sums_scaling_and_unit_slots_match_the_fraction_entry_oracles(
-        kind, shape, seed):
+        kind, shape, side, seed):
     d, order = shape
     rng = random.Random(seed)
     f = random_series(rng, d, order, kind)
@@ -709,7 +721,7 @@ def test_sums_scaling_and_unit_slots_match_the_fraction_entry_oracles(
         assert a.scale(c) == _scale(a, c)
         assert a + a.scale(-1) == MultiMap.zero(d, n)
         if n:
-            assert a.unit_in_first_slot() == _unit_in_slot(a, 0)
+            assert a.unit_in_slot(side) == _unit_in_slot(a, side * (n - 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -794,7 +806,7 @@ def test_cancelling_sums_reduce_the_denominator():
     e00, e01 = AlgebraElement.basis(2, 0), AlgebraElement.basis(2, 1)
     m = MultiMap(2, 2, {(0, 1): e00.scale(half), (3, 1): e00.scale(half),
                         (0, 2): e01.scale(half), (3, 2): e01.scale(-half)})
-    slot = m.unit_in_first_slot()
+    slot = m.unit_in_slot(0)
     assert (slot.table, slot.den) == ({(1,): [1, 0, 0, 0]}, 1)
     assert slot == _unit_in_slot(m, 0)
     extra = MultiMap(2, 2, {(0, 1): e00.scale(half)})
