@@ -46,9 +46,9 @@ class CumulantSpec:
     E(x1 a x2 a ... xn a).  Either series must have the left-module shape
     x1 * (rest) with an invertible first coefficient; the latter is the
     standing invertibility assumption behind the S-transform.  The
-    constructor reads F of series = I.F once (gi_stripped: the record of a
-    series that absorb built, or one read of its tables) and keeps it as
-    ``stripped``.
+    constructor reads F of series = I.F once (gi_stripped: the F stored in
+    the series' memo when absorb built it, else one read of its tables,
+    which the memo then keeps) and keeps it as ``stripped``.
     """
 
     __slots__ = ("series", "stripped")

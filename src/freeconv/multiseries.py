@@ -25,11 +25,11 @@ through _to_element (evaluation's value and the ``tensor`` view).
 MultiMap.inverse, for degree 0 and 1, is the one inverse behind the class
 tests and both series inverses.  absorbed(f, side) reads F of an outer
 series f = I.F or F.I, and absorb(F, side) builds I.F or F.I back by moving
-entries and records F in it, so absorbed and strip_identity read a series
-the library built without touching its tables.  Outside input (from_json,
-hand-built maps, sums) is read by the definition: F_{n-1} is f_n with the
-unit in the absorbed slot (MultiMap.unit_in_slot), and absorbed accepts it
-when x.F_{n-1} or F_{n-1}.x is f_n again.
+entries.  A series memoises F per side (TruncSeries._shapes), which absorb
+fills, so a series the library built is read without touching its tables.
+Outside input (from_json, hand-built maps, sums) is read once per side by
+the definition: F_{n-1} is f_n with the unit in the absorbed slot
+(MultiMap.unit_in_slot), accepted when x.F_{n-1} or F_{n-1}.x is f_n again.
 mul_at, compose_at and comp_inverse read either shape (_shape) and go
 through F: (I.F).g = I.(F.g) and f.(G.I) = (f.G).I one order lower, and
 (F.I).g and f.(I.G) as an outer product of a column and a row per entry,
@@ -230,11 +230,12 @@ def _fill(m, d, n, table, den):
 
 
 class TruncSeries:
-    """A series truncated at order N: degrees 0..N inclusive.  ``_absorbs``
-    is (side, F) when absorb built it from F, else (None, None); equality,
-    hashing and JSON ignore it."""
+    """A series truncated at order N: degrees 0..N inclusive.  ``_shapes``
+    memoises its shape per side: F with f = I.F (side 0) or F.I (side 1),
+    or None, as absorb built it or absorbed read it.  Equality, hashing and
+    JSON ignore it; +, scale and truncate start it empty."""
 
-    __slots__ = ("d", "N", "maps", "_absorbs")
+    __slots__ = ("d", "N", "maps", "_shapes")
 
     def __init__(self, d, N, maps):
         if N < 0:
@@ -248,7 +249,7 @@ class TruncSeries:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_absorbs", (None, None))
+        object.__setattr__(self, "_shapes", {})
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
@@ -383,34 +384,39 @@ def absorbed(f, side):
     """F with f = I.F (side 0) or f = F.I (side 1), or None for neither:
     f_n(x_1, ..., x_n) = x_1 F_{n-1}(x_2, ...) or F_{n-1}(..., x_{n-1}) x_n.
 
-    A series that absorb built on this side returns the F it recorded.  Any
-    other series is read by the definition, degree by degree: F_{n-1} is
-    f_n with the unit in the absorbed slot (unit_in_slot), and f has the
-    shape exactly when x.F_{n-1} or F_{n-1}.x is f_n again, so the read
-    stops at the first degree that differs.
+    The answer is memoised per side (f._shapes): absorb stores the F it
+    built from, and any other side is read once, by the definition, degree
+    by degree: F_{n-1} is f_n with the unit in the absorbed slot
+    (unit_in_slot), and f has the shape exactly when x.F_{n-1} or
+    F_{n-1}.x is f_n again, so the read stops at the first degree that
+    differs.  Its answer, F or None, is stored.
     """
-    if f._absorbs[0] == side:
-        return f._absorbs[1]
-    if not f[0].is_zero() or f.N < 1:
-        return None
-    maps = []
-    for m in f.maps[1:]:
-        F = m.unit_in_slot(side)
-        if _times_x(F, side) != m:
-            return None
-        maps.append(F)
-    return TruncSeries(f.d, f.N - 1, maps)
+    if side in f._shapes:
+        return f._shapes[side]
+    shape = None
+    if f[0].is_zero() and f.N >= 1:
+        maps = []
+        for m in f.maps[1:]:
+            F = m.unit_in_slot(side)
+            if _times_x(F, side) != m:
+                break
+            maps.append(F)
+        else:
+            shape = TruncSeries(f.d, f.N - 1, maps)
+    f._shapes[side] = shape
+    return shape
 
 
 def strip_identity(f):
-    """The series F_m = f_{m+1}(1, . , ..., .): the F that absorb recorded
-    when it built f = I.F, else f's unit slots (unit_in_slot(0)).
+    """The series F_m = f_{m+1}(1, . , ..., .): the F stored for side 0
+    (f._shapes), else f's unit slots (unit_in_slot(0)), not stored.
 
     Only faithful when f actually has the first-argument-absorbing shape;
     gi_stripped reads F and checks the shape.
     """
-    if f._absorbs[0] == 0:
-        return f._absorbs[1]
+    F = f._shapes.get(0)
+    if F is not None:
+        return F
     if f.N < 1:
         raise ValueError("cannot strip the identity from an order-0 series")
     return TruncSeries(f.d, f.N - 1, [m.unit_in_slot(0) for m in f.maps[1:]])
@@ -426,9 +432,9 @@ def absorb(F, side):
 
 def _absorbing(F, side, maps):
     """The series with the given maps, which are those of absorb(F, side),
-    recording (side, F); the one writer of the record."""
+    with F stored for its side; absorbed is the memo's other writer."""
     f = TruncSeries(F.d, F.N + 1, maps)
-    object.__setattr__(f, "_absorbs", (side, F))
+    f._shapes[side] = F
     return f
 
 
@@ -560,11 +566,10 @@ def _across_sum(pairs, d, n):
 
 def _shape(f):
     """(side, F) with f = I.F (side 0) or f = F.I (side 1), else (None,
-    None): the record absorb wrote, or absorbed on each side; the one reader
-    of an absorbing shape behind mul_at, compose_at and comp_inverse."""
-    if f._absorbs[0] is not None:
-        return f._absorbs
-    for side in (0, 1):
+    None): absorbed on each side, a side with F stored (f._shapes) first,
+    else side 0 first; the one reader of an absorbing shape behind mul_at,
+    compose_at and comp_inverse."""
+    for side in sorted((0, 1), key=lambda s: f._shapes.get(s) is None):
         F = absorbed(f, side)
         if F is not None:
             return side, F
@@ -575,15 +580,18 @@ def mul_at(f, g, order):
     """(f.g) to the given order: (f.g)_n = sum_k f_k(x_1..x_k) g_{n-k}(rest).
 
     Exact as long as every consumed degree exists: degree n needs f_k for
-    k >= lead(f) down to n - g.N and g_{n-k} symmetrically, so the order is
-    admissible iff order <= min(f.N + lead(g), g.N + lead(f)).
+    k >= lead(f) down to n - g.N and g_{n-k} symmetrically, so an order
+    >= 0 is admissible iff order <= min(f.N + lead(g), g.N + lead(f)).
 
     A factor of the shape I.F or F.I (_shape) is multiplied through F:
     (I.F).g = I.(F.g) and f.(G.I) = (f.G).I are taken one order lower and
-    absorbed, and (F.I).g and f.(I.G) are products across the unit, whose
-    degree n sums F_k(x_1..x_k) x_{k+1} g_{n-1-k}(rest) on _sandwich: no
-    table of F.I or I.G is built and no d x d product taken.
+    absorbed, the kept factor's shape read from its memo, and (F.I).g and
+    f.(I.G) are products across the unit, whose degree n sums
+    F_k(x_1..x_k) x_{k+1} g_{n-1-k}(rest) on _sandwich: no table of F.I or
+    I.G is built and no d x d product taken.
     """
+    if order < 0:
+        raise ValueError(f"a product has order >= 0, not {order}")
     if f.d != g.d:
         raise ValueError("dimension mismatch")
     lf, lg = f.lead(), g.lead()
@@ -591,22 +599,14 @@ def mul_at(f, g, order):
        order > g.N + (lf if lf is not None else order):
         raise ValueError(f"order {order} not determined by inputs of orders "
                          f"{f.N} and {g.N}")
-    return _mul_shaped(f, g, order, None, None)
-
-
-def _mul_shaped(f, g, order, f_shape, g_shape):
-    """mul_at past its admissibility check, which holds again one order
-    lower on F or G; f_shape and g_shape are the _shape of f and g where
-    it has been read, else None, so the recursion reads the shape of the
-    factor it keeps only once."""
     a, b, gap = f, g, 0
     if order:
-        side, F = f_shape or _shape(f)
+        side, F = _shape(f)
         if side == 0:
-            return absorb(_mul_shaped(F, g, order - 1, None, g_shape), 0)
-        g_side, G = g_shape or _shape(g)
+            return absorb(mul_at(F, g, order - 1), 0)
+        g_side, G = _shape(g)
         if g_side == 1:
-            return absorb(_mul_shaped(f, G, order - 1, (side, F), None), 1)
+            return absorb(mul_at(f, G, order - 1), 1)
         if side == 1:
             a, gap = F, 1
         elif g_side == 0:
@@ -1070,7 +1070,7 @@ def red_and_redred(f, g, red_order, redred_order):
     tree-sum definition.
 
     When f = I.F (absorbed(f, 0)), red = I.R with R = F o Q and red_n =
-    x R_{n-1}, and red records R as absorb does (for red_order >= 1).
+    x R_{n-1}, and red stores R as absorb does (for red_order >= 1).
     redred reads g through strip_identity(g)."""
     d = f.d
     x = MultiMap.identity(d).table

@@ -77,7 +77,7 @@ def boxconv(variant, f, g):
     box = red(f, g).redred(f, g); and red(g, f) = I.(G o Q') with
     Q' = redred(g, f).I gives line = g o Q' = Q'.(G o Q') =
     redred(g, f).red(g, f).  mul_at takes each product through the shape
-    red records, so neither composes g.
+    red stores, so neither composes g.
     """
     _check_pair(variant, f, g)
     N = f.N
@@ -174,7 +174,7 @@ def u_transform(f):
     revert_absorbed solves: absorb builds I.S from S.  So f's shape is
     read once, f is reverted once, and one product of the composite
     C = F o (I.S) it returns with absorb(S, 0), which mul_at takes across
-    the unit through the record absorb writes, gives U.
+    the unit through the F that absorb stores, gives U.
     """
     S, C = revert_absorbed(_stripped(f, "U-transform"), 0)
     _check_fixed_point(C, S)

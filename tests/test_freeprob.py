@@ -55,8 +55,8 @@ def test_spec_json_round_trip():
 def test_specs_read_the_shape_once_and_keep_the_stripped_series(
         shape_passes):
     # a drawn series and the conversions' results are built by absorb, which
-    # records the stripped series, so a spec of either reads its shape
-    # without a pass; a series loaded from JSON has no record and takes one
+    # stores the stripped series, so a spec of either reads its shape
+    # without a pass; a series loaded from JSON has none stored and takes one
     series = random_series(random.Random(8), D, N, "gi", bound=2)
     k = CumulantSpec(series)
     m = moments_from_cumulants(k)

@@ -93,6 +93,13 @@ def test_first_difference_names_the_first_differing_entry():
     assert diff == {"degree": 0, "entry": [], "lhs": f.to_json(),
                     "rhs": g.to_json()}
     assert first_difference(s1, s1.truncate(1))["degree"] == 2
+    # one entry of the top degree differs, past the first key
+    h = random_series(random.Random(5), D, 2, "mult")
+    key = sorted(h[2].tensor)[1]
+    changed = h[2].tensor[key] + _x(6)
+    assert first_difference(h, _with_entry(h, 2, key, changed)) == {
+        "degree": 2, "entry": list(key), "lhs": h[2].tensor[key].to_json(),
+        "rhs": changed.to_json()}
 
 
 def test_constant_map_takes_no_arguments():

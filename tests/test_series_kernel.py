@@ -21,7 +21,9 @@ to take no dense product at the top degree, and the transforms to read the
 shape of f once.  The composition kernel, one state per consumed degree, is
 checked against one contraction per composition and counted to take
 polynomially many slot steps; mul_at is counted to read the shape of the
-factor its recursion keeps once.  revert_absorbed is checked to return S
+factor its recursion keeps once, absorbed to read each side of a series
+once, and record-free box and line to read each input's tables once.
+mul_at rejects a negative order.  revert_absorbed is checked to return S
 and the composite F o g it solved, which S inverts on both sides, the
 transforms to build no reversion at the top degree, and
 moments_by_recursion to compose K only below the degree it computes.
@@ -543,7 +545,7 @@ def test_stripped_recursions_contract_no_top_degree_table(monkeypatch):
 def test_products_across_the_unit_take_no_top_degree_product(monkeypatch):
     # the reversions multiply S, one degree below the reversion, U's
     # expressions multiply across the unit, and box and line of a gi pair
-    # multiply through the shape red records; a dense product with N
+    # multiply through the shape red stores; a dense product with N
     # arguments means a table of f.I, I.S or red was multiplied
     degrees = []
 
@@ -606,7 +608,7 @@ def test_absorb_is_the_product_with_the_identity(kind, d, order):
        seed=st.integers(0, 2 ** 16))
 def test_absorbed_reads_the_record_as_a_pass_reads_the_tables(kind, shape,
                                                               side, seed):
-    # the record that absorb writes answers absorbed on its own side, and on
+    # the F that absorb stores answers absorbed on its own side, and on
     # either side it says what a read of the same maps says
     d, order = shape
     F = (TruncSeries.zero(d, order) if kind == "zero"
@@ -622,8 +624,8 @@ def test_absorbed_reads_the_record_as_a_pass_reads_the_tables(kind, shape,
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_strip_identity_reads_the_record_of_I_F_only(d):
-    # absorb's record answers strip_identity for I.F; F.I is read off its
-    # unit slots, as any series absorb did not build on side 0
+    # the F that absorb stores answers strip_identity for I.F; F.I is read
+    # off its unit slots, as any series with no side-0 F stored
     F = random_series(random.Random(f"strip-{d}"), d, 2, "ginv")
     for side in (0, 1):
         f = absorb(F, side)
@@ -634,12 +636,23 @@ def test_strip_identity_reads_the_record_of_I_F_only(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_equality_hashing_and_json_ignore_the_record(d):
+    # the shape memo, stored by absorb or filled by absorbed, changes no
+    # comparison, hash or JSON, and a sum, a scaling or a truncation starts
+    # without it
     F = random_series(random.Random(f"record-{d}"), d, 2, "ginv")
     f = absorb(F, 0)
-    for other in (TruncSeries(d, 3, f.maps), TruncSeries.from_json(
+    filled = TruncSeries(d, 3, f.maps)
+    for side in (0, 1):
+        absorbed(filled, side)
+    for other in (TruncSeries(d, 3, f.maps), filled, TruncSeries.from_json(
             json.loads(json.dumps(f.to_json())))):
         assert other == f and hash(other) == hash(f)
         assert other.to_json() == f.to_json()
+    zero = TruncSeries.zero(d, 3)
+    for g in (f, filled):
+        assert g._shapes
+        for new in (g + zero, g.scale(1), g.truncate(3), g.truncate(2)):
+            assert new == g.truncate(new.N) and new._shapes == {}
     # at d = 1 the scalars commute: I.F and F.I are one series
     assert (absorb(F, 1) == f) == (d == 1)
     if d == 1:
@@ -690,6 +703,43 @@ def test_mul_at_matches_the_product_oracle_for_every_shape(kinds, forms,
         else:
             with pytest.raises(ValueError, match="not determined"):
                 mul_at(f, g, order)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("form", ["I.F", "F.I", "mult"])
+def test_a_second_absorbed_reads_no_table(form, side, shape_passes):
+    # the first absorbed on a record-free series reads its tables and
+    # stores the answer, F or None; a second call on that side returns it
+    rng = random.Random(f"memo-{form}-{side}")
+    if form == "mult":
+        f = random_series(rng, 2, 3, "mult")
+    else:
+        f = absorb(random_series(rng, 2, 2, "ginv"), form == "F.I")
+    f = TruncSeries(2, 3, f.maps)
+    F = multiseries.absorbed(f, side)  # the name shape_passes wraps
+    assert (F is not None) == (form == ("F.I" if side else "I.F"))
+    assert multiseries.absorbed(f, side) is F
+    assert shape_passes == [3]
+
+
+@pytest.mark.parametrize("variant", ["box", "line"])
+def test_record_free_box_and_line_read_each_input_once(variant,
+                                                       shape_passes):
+    # boxconv reads g's shape to pick its path and red_and_redred reads
+    # both inputs; the memo answers the second read of g, so each input's
+    # tables are read once
+    rng = random.Random(f"passes-{variant}")
+    drawn = [random_series(rng, 2, 3, "gi") for _ in range(2)]
+    out = boxconv(variant, *(TruncSeries(2, 3, s.maps) for s in drawn))
+    assert shape_passes == [3, 3]
+    assert out == boxconv(variant, *drawn)
+
+
+def test_mul_at_rejects_a_negative_order():
+    f = random_series(random.Random(13), 2, 2, "gi")
+    for g in (f, TruncSeries(2, 2, f.maps)):
+        with pytest.raises(ValueError, match="order >= 0, not -1"):
+            mul_at(f, g, -1)
 
 
 def test_mul_at_reads_the_shape_of_the_kept_factor_once(shape_passes):
