@@ -27,8 +27,8 @@ from itertools import product as _cartesian
 
 from .algebra import AlgebraElement, random_element_from, random_invertible_from
 from .multiseries import (MultiMap, TreeTensors, TruncSeries, absorb,
-                          absorb_at, alt_tree_eval, comp_inverse, compose_at,
-                          cumulants_by_recursion, gi_stripped,
+                          absorb_at, absorbed, alt_tree_eval, comp_inverse,
+                          compose_at, cumulants_by_recursion, gi_stripped,
                           moments_by_recursion, mul_at, random_multimap,
                           random_series, tree_eval)
 from .transforms import boxconv, s_prime, s_transform, u_transform
@@ -46,19 +46,18 @@ class CumulantSpec:
     E(x1 a x2 a ... xn a).  Either series must have the left-module shape
     x1 * (rest) with an invertible first coefficient; the latter is the
     standing invertibility assumption behind the S-transform.  The
-    constructor reads F of series = I.F once (gi_stripped: the F stored in
-    the series' memo when absorb built it, else one read of its tables,
-    which the memo then keeps) and keeps it as ``stripped``.
+    constructor checks the shape once (gi_stripped: the F stored in the
+    series' memo when absorb built it, else one read of its tables, which
+    the memo then keeps), so absorbed(spec.series, 0) reads F from the memo.
     """
 
-    __slots__ = ("series", "stripped")
+    __slots__ = ("series",)
 
     def __init__(self, series):
-        F = gi_stripped(series)
-        if F is None:
+        if gi_stripped(series) is None:
             raise ValueError("cumulant and moment series must have the shape "
                              "I.g with g(1) invertible")
-        self.series, self.stripped = series, F
+        self.series = series
 
     @property
     def d(self):
@@ -94,7 +93,7 @@ def moments_from_cumulants(k):
     m = k o ((1 + m).I) (multiseries.moments_by_recursion), with no tree
     walked.
     """
-    return MomentSpec(absorb(moments_by_recursion(k.stripped), 0))
+    return MomentSpec(absorb(moments_by_recursion(absorbed(k.series, 0)), 0))
 
 
 def cumulants_from_moments(m):
@@ -106,7 +105,8 @@ def cumulants_from_moments(m):
     degree n (multiseries.cumulants_by_recursion, on K of k = I.K and M of
     m = I.M); cumulants_by_trees is the tree-sum definition.
     """
-    return CumulantSpec(absorb(cumulants_by_recursion(m.stripped), 0))
+    return CumulantSpec(absorb(cumulants_by_recursion(absorbed(m.series, 0)),
+                               0))
 
 
 def moments_by_trees(k):
@@ -154,7 +154,7 @@ def speicher_relation_check(k, m):
     """
     if (k.d, k.N) != (m.d, m.N):
         raise ValueError("cumulant and moment series must share (d, N)")
-    K, M = k.stripped, m.stripped
+    K, M = absorbed(k.series, 0), absorbed(m.series, 0)
     d, order = K.d, K.N
     ident = TruncSeries.identity(d, order)
     one = TruncSeries.constant(AlgebraElement.unit(d), order)
@@ -370,7 +370,7 @@ def verify_freeprob_identities(N=4, d=2, trials=10, seed=0):
                 s_ab, compose_at(mul_at(sp_b, s_a, N - 1), u_b, N - 1), params)
 
         compare("u-from-moments", "U(a) == (M.I) o (I.M)^{o-1}",
-                u_a, compose_at(absorb(ma.stripped, 1),
+                u_a, compose_at(absorb(absorbed(ma.series, 0), 1),
                                 comp_inverse(ma.series), N), params)
 
         compare("u-of-product", "U(ab) == U(a) o U(b)",
@@ -635,7 +635,7 @@ def sab_search(N=4, d=2, trials=50, seed=0):
         plain = mul_at(s_transform(kb.series), s_transform(ka.series), N - 1)
         if s_ab != plain:
             continue
-        M = moments_from_cumulants(kb).stripped
+        M = absorbed(moments_from_cumulants(kb).series, 0)
         commutes = absorb(M, 1) == absorb(M, 0)
         ka_constant = all(ka.series[n].is_zero() for n in range(2, N + 1))
         if commutes or ka_constant:

@@ -232,10 +232,11 @@ def _fill(m, d, n, table, den):
 class TruncSeries:
     """A series truncated at order N: degrees 0..N inclusive.  ``_shapes``
     memoises its shape per side: F with f = I.F (side 0) or F.I (side 1),
-    or None, as absorb built it or absorbed read it.  Equality, hashing and
-    JSON ignore it; +, scale and truncate start it empty."""
+    or None, as absorb built it or absorbed read it; ``_solution``, the
+    transforms' checked (S, C) (transforms._solved).  Equality, hashing and
+    JSON ignore both; +, scale and truncate start them empty."""
 
-    __slots__ = ("d", "N", "maps", "_shapes")
+    __slots__ = ("d", "N", "maps", "_shapes", "_solution")
 
     def __init__(self, d, N, maps):
         if N < 0:
@@ -250,6 +251,7 @@ class TruncSeries:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_shapes", {})
+        object.__setattr__(self, "_solution", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
@@ -734,6 +736,8 @@ def compose_at(f, g, order):
     mul_at takes that product through the shape of g; any other f sums f_k
     over the compositions of each degree.
     """
+    if order < 0:
+        raise ValueError(f"a composition has order >= 0, not {order}")
     if f.d != g.d:
         raise ValueError("dimension mismatch")
     if not g[0].is_zero():

@@ -8,16 +8,19 @@ oracle; boxconv computes the same series degree by degree from the
 composition identities box = g o red and redred = strip_identity(g) o red,
 which walk no tree.  The S-transform of f = I.F is the series S with
 f^{o-1} = I.S; the U-transform is S^{-1}.I.S; the primed transform inverts
-F.I instead.  Each transform reads f's shape once, as F, and reverts I.F
-or F.I from F: revert_absorbed returns S or S' itself, with no reversion
+F.I instead.  Each transform call reads f's shape once, as F, and reverts
+I.F or F.I from F: revert_absorbed returns S or S' itself, with no reversion
 to read it off, beside the composite C = F o (I.S) it solved against.  S
 is checked against S = C^{-1} on that C: a check of the solve step only,
 as C and S both come from the reversion's g, so that g reverts f and
-C = F o g are left to the tests, as is S' whole.  U's three expressions
-S^{-1}.I.S, C.I.S and (F.I) o f^{o-1} agree exactly when S = C^{-1} and
-f^{o-1} = I.S, since X -> X.I.S (S_0 invertible) and X -> (F.I) o X
-(zero-constant X) are injective; I.S is absorb(S, 0), so U takes the one
-check and is one product, C times absorb(S, 0), across the unit.
+C = F o g are left to the tests, as is S' whole.  A series keeps its
+checked (S, C) (TruncSeries._solution, which _solved alone writes), so S
+and U of one series share one reversion and one check.  U's three
+expressions S^{-1}.I.S, C.I.S and (F.I) o f^{o-1} agree exactly when
+S = C^{-1} and f^{o-1} = I.S, since X -> X.I.S (S_0 invertible) and
+X -> (F.I) o X (zero-constant X) are injective; I.S is absorb(S, 0), so U
+takes the one check and is one product, C times absorb(S, 0), across the
+unit.
 """
 
 import random
@@ -141,23 +144,26 @@ def _stripped(f, name):
     return F
 
 
-def _check_fixed_point(C, s):
-    """S = C^{-1}: the left inverse revert_absorbed solved against the right
-    one mult_inverse builds, a check of the solve step, not of C."""
-    if mult_inverse(C) != s:
-        raise ArithmeticError("S does not solve its fixed-point equation")
+def _solved(f, name):
+    """(S, C) of f = I.F, whose shape every call reads (_stripped): solved
+    once per series, by revert_absorbed, which returns S itself beside the
+    composite C = F o (I.S) it solved against, checked against S = C^{-1}
+    on that C, and only then kept on f (f._solution) for later calls."""
+    F = _stripped(f, name)
+    if f._solution is None:
+        S, C = revert_absorbed(F, 0)
+        # the left inverse revert_absorbed solved against the right one
+        # mult_inverse builds: a check of the solve step, not of C
+        if mult_inverse(C) != S:
+            raise ArithmeticError("S does not solve its fixed-point equation")
+        object.__setattr__(f, "_solution", (S, C))
+    return f._solution
 
 
 def s_transform(f):
-    """S with f^{o-1} = I.S; one order shorter than f.
-
-    Solved once, by revert_absorbed, which returns S itself beside the
-    composite C = F o (I.S) it solved against, and checked against
-    S = C^{-1} on that C.
-    """
-    S, C = revert_absorbed(_stripped(f, "S-transform"), 0)
-    _check_fixed_point(C, S)
-    return S
+    """S with f^{o-1} = I.S; one order shorter than f, solved and checked
+    once per series (_solved)."""
+    return _solved(f, "S-transform")[0]
 
 
 def u_transform(f):
@@ -172,12 +178,12 @@ def u_transform(f):
     F.I, which is in G^dif, is injective on zero-constant series, so the
     last two agree exactly when f^{o-1} = I.S, which holds for the S that
     revert_absorbed solves: absorb builds I.S from S.  So f's shape is
-    read once, f is reverted once, and one product of the composite
-    C = F o (I.S) it returns with absorb(S, 0), which mul_at takes across
-    the unit through the F that absorb stores, gives U.
+    read once per call, f is reverted and S checked once per series, with
+    s_transform (_solved), and one product of the composite C = F o (I.S)
+    with absorb(S, 0), which mul_at takes across the unit through the F
+    that absorb stores, gives U.
     """
-    S, C = revert_absorbed(_stripped(f, "U-transform"), 0)
-    _check_fixed_point(C, S)
+    S, C = _solved(f, "U-transform")
     return mul_at(C, absorb(S, 0), f.N)
 
 

@@ -131,6 +131,15 @@ def test_linmap_identity_and_inverse():
         linmap_inverse([[1, 0, 0], [0, 1, 0]])
 
 
+def test_linmap_inverse_swaps_rows_past_a_zero_pivot():
+    # each of the first two columns has a zero on the diagonal when it is
+    # reached, so both rows of the inverse are swapped with the matrix's
+    m = [[0, 2, 1], [0, 0, 3], [4, 1, 0]]
+    inv = linmap_inverse(m)
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert _matmul(m, inv) == ident and _matmul(inv, m) == ident
+
+
 def test_linmap_inverse_rejects_rank_deficient():
     # the third row is the sum of the first two
     with pytest.raises(NotInvertibleError):

@@ -636,23 +636,25 @@ def test_strip_identity_reads_the_record_of_I_F_only(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_equality_hashing_and_json_ignore_the_record(d):
-    # the shape memo, stored by absorb or filled by absorbed, changes no
-    # comparison, hash or JSON, and a sum, a scaling or a truncation starts
-    # without it
+    # the shape memo, stored by absorb or filled by absorbed, and the
+    # checked reversion the transforms keep change no comparison, hash or
+    # JSON, and a sum, a scaling or a truncation starts without them
     F = random_series(random.Random(f"record-{d}"), d, 2, "ginv")
     f = absorb(F, 0)
     filled = TruncSeries(d, 3, f.maps)
     for side in (0, 1):
         absorbed(filled, side)
+    s_transform(f)
     for other in (TruncSeries(d, 3, f.maps), filled, TruncSeries.from_json(
             json.loads(json.dumps(f.to_json())))):
         assert other == f and hash(other) == hash(f)
         assert other.to_json() == f.to_json()
     zero = TruncSeries.zero(d, 3)
     for g in (f, filled):
-        assert g._shapes
+        assert g._shapes and (g._solution is not None) == (g is f)
         for new in (g + zero, g.scale(1), g.truncate(3), g.truncate(2)):
             assert new == g.truncate(new.N) and new._shapes == {}
+            assert new._solution is None
     # at d = 1 the scalars commute: I.F and F.I are one series
     assert (absorb(F, 1) == f) == (d == 1)
     if d == 1:
@@ -740,6 +742,20 @@ def test_mul_at_rejects_a_negative_order():
     for g in (f, TruncSeries(2, 2, f.maps)):
         with pytest.raises(ValueError, match="order >= 0, not -1"):
             mul_at(f, g, -1)
+
+
+def test_compose_at_rejects_a_negative_order():
+    # rejected as a requested order, before any output is built, whatever
+    # path f and g would take: a sum over compositions, the I.F product, or
+    # a zero g
+    rng = random.Random(14)
+    g = random_series(rng, 2, 2, "gdif")
+    for f in (random_series(rng, 2, 2, "mult"),
+              random_series(rng, 2, 2, "gi")):
+        for right in (g, TruncSeries.zero(2, 2)):
+            with pytest.raises(ValueError,
+                               match="a composition has order >= 0, not -1"):
+                compose_at(f, right, -1)
 
 
 def test_mul_at_reads_the_shape_of_the_kept_factor_once(shape_passes):
@@ -985,6 +1001,21 @@ def test_u_transform_multiplies_across_the_unit_once(monkeypatch):
     calls = _transform_calls(monkeypatch, ("mult_inverse", "mul_at"))
     transforms.u_transform(random_series(random.Random(4), 2, 3, "gi"))
     assert sorted(calls) == ["mul_at", "mult_inverse"]
+
+
+@pytest.mark.parametrize("ops", [("s_transform", "u_transform"),
+                                 ("u_transform", "s_transform")])
+def test_s_and_u_of_one_series_share_one_checked_reversion(monkeypatch, ops):
+    # the first transform of a series solves and checks S, and the second
+    # reads that (S, C) off the series; a series with the same maps but no
+    # memo solves again and gives the same transforms
+    f = random_series(random.Random(4), 2, 3, "gi")
+    calls = _transform_calls(monkeypatch, ("revert_absorbed", "mult_inverse"))
+    first, second = (getattr(transforms, op)(f) for op in ops)
+    assert calls == ["revert_absorbed", "mult_inverse"]
+    again = TruncSeries(f.d, f.N, f.maps)
+    assert [getattr(transforms, op)(again) for op in ops] == [first, second]
+    assert calls == ["revert_absorbed", "mult_inverse"] * 2
 
 
 def test_operad_suite_checks_each_series_once(monkeypatch):
